@@ -8,9 +8,6 @@
 //   /0  full       — per-probe steps 2-3 re-run both touched accelerators
 //   /1  delta      — delta passes, knapsack cache off
 //   /2  delta+$    — delta passes, knapsack cache on (the default)
-//   /3  delta+$+▽  — /2 plus the cone-limited retime sweep
-//                    (RemapOptions::use_retime_cone; off by default — see
-//                    the rationale in remapping.h)
 //
 // All modes land on bit-identical mappings (asserted by the table up front
 // and pinned in test_remapping.cpp). BM_RemapLoop uses the standard catalog
@@ -55,7 +52,6 @@ RemapOptions probe_options(int mode) {
   RemapOptions opts;
   opts.use_delta_locality = mode >= 1;
   opts.use_knapsack_cache = mode >= 2;
-  opts.use_retime_cone = mode >= 3;
   return opts;
 }
 
@@ -63,8 +59,7 @@ const char* mode_label(int mode) {
   switch (mode) {
     case 0: return "full-steps23-rerun";
     case 1: return "delta-steps23";
-    case 2: return "delta-steps23+knap-cache";
-    default: return "delta-steps23+knap-cache+retime-cone";
+    default: return "delta-steps23+knap-cache";
   }
 }
 
@@ -127,7 +122,6 @@ BENCHMARK(BM_RemapLoop)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
-    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 void BM_RemapLoopPressured(benchmark::State& state) {
@@ -139,7 +133,6 @@ BENCHMARK(BM_RemapLoopPressured)
     ->Arg(0)
     ->Arg(1)
     ->Arg(2)
-    ->Arg(3)
     ->Unit(benchmark::kMillisecond);
 
 /// Remap-loop seconds for one prepared instance (best of `reps`).
@@ -171,37 +164,36 @@ int main(int argc, char** argv) {
 
   if (!filtered) {
     TextTable table({"model", "latency (s)", "full23 (ms)", "delta (ms)",
-                     "delta+$ (ms)", "+cone (ms)", "speedup", "knap hit/miss",
+                     "delta+$ (ms)", "speedup", "knap hit/miss",
                      "full passes"},
                     {TextTable::Align::Left});
     for (const ZooInfo& info : zoo_catalog()) {
       Prepared p = prepare(make_model(info.id), pressured_system(6, mib(4)));
       const Simulator sim(p.model, p.sys);
 
-      std::array<RemapStats, 4> stats;
-      std::array<double, 4> secs{};
-      for (int mode = 0; mode < 4; ++mode)
+      std::array<RemapStats, 3> stats;
+      std::array<double, 3> secs{};
+      for (int mode = 0; mode < 3; ++mode)
         secs[mode] = remap_seconds(p, sim, mode, stats[mode]);
 
       // All strategies must land on the same mapping quality.
-      std::array<double, 4> lat{};
-      for (int mode = 0; mode < 4; ++mode) {
+      std::array<double, 3> lat{};
+      for (int mode = 0; mode < 3; ++mode) {
         Mapping mapping = p.mapping;
         LocalityPlan plan = p.plan;
         (void)data_locality_remapping(sim, mapping, plan, probe_options(mode));
         lat[mode] = sim.simulate(mapping, plan).latency;
       }
-      if (lat[0] != lat[1] || lat[0] != lat[2] || lat[0] != lat[3]) {
+      if (lat[0] != lat[1] || lat[0] != lat[2]) {
         std::cerr << "MISMATCH on " << info.key << ": full " << lat[0]
-                  << " vs delta " << lat[1] << " vs cached " << lat[2]
-                  << " vs cone " << lat[3] << '\n';
+                  << " vs delta " << lat[1] << " vs cached " << lat[2] << '\n';
         return 1;
       }
 
       table.add_row(
           {std::string(info.key), strformat("%.6f", lat[2]),
            strformat("%.3f", secs[0] * 1e3), strformat("%.3f", secs[1] * 1e3),
-           strformat("%.3f", secs[2] * 1e3), strformat("%.3f", secs[3] * 1e3),
+           strformat("%.3f", secs[2] * 1e3),
            strformat("%.1fx", secs[0] / std::max(secs[2], 1e-9)),
            strformat("%llu/%llu",
                      static_cast<unsigned long long>(stats[2].knapsack_hits),
@@ -210,8 +202,8 @@ int main(int argc, char** argv) {
                                  stats[2].delta_full_passes))});
     }
     std::cout << "step-4 probe cost under DRAM pressure: full steps-2/3 "
-                 "re-run vs delta passes vs delta + knapsack cache vs + "
-                 "retime cone @ 0.125 GB/s (latencies asserted equal):\n";
+                 "re-run vs delta passes vs delta + knapsack cache @ "
+                 "0.125 GB/s (latencies asserted equal):\n";
     table.print(std::cout);
     std::cout << '\n';
   }

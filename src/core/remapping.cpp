@@ -66,7 +66,6 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
   };
 
   IncrementalSchedule inc(sim);
-  inc.set_cone_filter(options.use_retime_cone);
   if (options.use_incremental) inc.reset(mapping, plan);
 
   RemapDeltaState delta(sim, options.weight, options.fusion,
@@ -147,6 +146,12 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
 
   CandidateScratch candidates;  // reused across nodes
 
+  // Per layer: stats.accepted + 1 as of its last probe round that rejected
+  // every candidate (0 = none yet). While no move has been accepted since,
+  // mapping, plan, and schedule are exactly what that round saw, so
+  // probing again would reject again: the layer is skipped.
+  std::vector<std::uint32_t> rejected_at(model.layer_count(), 0);
+
   for (std::uint32_t pass = 0; pass < options.max_passes; ++pass) {
     ++stats.passes;
     bool improved = false;
@@ -163,6 +168,7 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
       }
       if (model.layer(node).kind == LayerKind::Input) continue;
       if (options.locked && (*options.locked)[node.value]) continue;
+      if (rejected_at[node.value] == stats.accepted + 1) continue;
       const AccId src = mapping.acc_of(node);
       neighbour_accs(costs, model, mapping, node, candidates);
 
@@ -171,7 +177,11 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
       // destination. The schedule itself is never touched by a probe: the
       // incremental path evaluates the candidate makespan into
       // IncrementalSchedule's overlay (probe_remap), so a rejected
-      // candidate needs no schedule journal or rollback at all.
+      // candidate needs no schedule journal or rollback at all. Under the
+      // Latency objective the probe also stops as soon as its makespan
+      // provably cannot beat best_candidate - epsilon (it then returns
+      // +infinity, a rejection either way). EDP reads the whole overlay
+      // for probe_energy, so it probes unbounded.
       AccId best_dst{};
       double best_candidate = best_metric;
 
@@ -184,10 +194,13 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
         run_steps23(node, src, dst);
         double metric;
         if (options.use_incremental) {
-          const double lat = inc.probe_remap(mapping, plan, node, src, dirty);
-          metric = options.objective == RemapObjective::Latency
-                       ? lat
-                       : lat * inc.probe_energy(mapping).total();
+          if (options.objective == RemapObjective::Latency) {
+            metric = inc.probe_remap(mapping, plan, node, src, dirty,
+                                     best_candidate - options.epsilon);
+          } else {
+            metric = inc.probe_remap(mapping, plan, node, src, dirty) *
+                     inc.probe_energy(mapping).total();
+          }
         } else {
           metric = metric_of(sim.simulate(mapping, plan));
         }
@@ -217,6 +230,8 @@ RemapStats data_locality_remapping(const Simulator& sim, Mapping& mapping,
         best_metric = best_candidate;
         ++stats.accepted;
         improved = true;
+      } else {
+        rejected_at[node.value] = stats.accepted + 1;
       }
     }
 

@@ -52,14 +52,6 @@ struct RemapOptions {
   /// memoization — results stay bit-identical. Only read when
   /// use_delta_locality is on.
   bool use_knapsack_cache = true;
-  /// Cone-limited retime (IncrementalSchedule::set_cone_filter): skip
-  /// consumers whose start provably cannot move. Final timings are
-  /// bit-identical (property-tested). Off by default: on the zoo probe
-  /// workloads the sweep's unchanged-start stop already bounds the cone
-  /// within ~0.3% of optimal, so the per-edge filter loads outweigh the
-  /// visits they avoid (see bench_ablation_remap_probe's retime-cone axis);
-  /// enable for fan-out-heavy graphs.
-  bool use_retime_cone = false;
   RemapObjective objective = RemapObjective::Latency;
   WeightLocalityOptions weight;
   FusionOptions fusion;
@@ -79,10 +71,15 @@ struct RemapOptions {
 
 struct RemapStats {
   std::uint32_t passes = 0;
+  /// Candidate probes run. A layer whose candidates were all rejected is
+  /// not probed again until some move is accepted (nothing it reads has
+  /// changed), so a pass may probe fewer layers than the model has.
   std::uint32_t attempts = 0;
   std::uint32_t accepted = 0;
   /// Node re-timings the incremental schedule performed across all probes
-  /// (0 when use_incremental is off) — the bench's work accounting.
+  /// and accepted moves (0 when use_incremental is off) — the bench's work
+  /// accounting. Latency-objective probes stop early once their rejection
+  /// is certain, so they count only the re-timings done before the stop.
   std::uint64_t retimes = 0;
   /// Knapsack-cache accounting (0 when use_delta_locality or
   /// use_knapsack_cache is off): solver runs avoided / paid on the delta

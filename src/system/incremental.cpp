@@ -1,6 +1,8 @@
 #include "system/incremental.h"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 namespace h2h {
 
@@ -8,6 +10,14 @@ namespace {
 constexpr std::uint32_t kNoPos = 0xFFFFFFFFu;
 // Overlay stamp value no probe epoch ever takes (see reset/probe_remap).
 constexpr std::uint32_t kOverlaySentinel = 0xFFFFFFFFu;
+// probe_retime's bound_from for an unbounded probe: no seq lies past it.
+constexpr std::uint32_t kNoBound = 0xFFFFFFFFu;
+// Relative widening of reject_at before the bound is compared against it.
+// A bound and the makespan it predicts are sums over the same chain of
+// durations, each rounded at most once per layer, so they differ by at most
+// ~2 * chain length * 2^-53 relative — 1e-9 covers chains of millions of
+// layers (DESIGN.md §10).
+constexpr double kBoundMargin = 1e-9;
 }  // namespace
 
 void IncrementalSchedule::reset(const Mapping& m, const LocalityPlan& plan) {
@@ -15,6 +25,7 @@ void IncrementalSchedule::reset(const Mapping& m, const LocalityPlan& plan) {
   const SystemConfig& sys = sim_->sys();
   H2H_EXPECTS(m.complete());
   H2H_EXPECTS(!journaling_);
+  bl_valid_ = false;
 
   timings_.assign(model.layer_count(), LayerTiming{});
   queues_ = m.acc_queues(sys);
@@ -118,6 +129,7 @@ void IncrementalSchedule::retime() {
   // visited node enqueues lies ahead of the cursor, so one forward walk over
   // the pending range visits each node at most once, in exactly the
   // ascending-seq order the old min-heap produced.
+  bl_valid_ = false;
   for (std::uint32_t s = sweep_min_; s <= sweep_max_; ++s) {
     if (pending_stamp_[s] != stamp_) continue;
     const LayerId id = by_seq_[s];
@@ -132,27 +144,11 @@ void IncrementalSchedule::retime() {
     const double start = std::max(ready, free_at);
     const double finish = start + t.duration();
     if (start == t.start && finish == t.finish) continue;  // cone stops here
-    const double old_finish = t.finish;
     save_timing(id);
     t.start = start;
     t.finish = finish;
-    if (cone_filter_) {
-      // Enqueue a consumer unless both the old and the new finish stay
-      // below its current start (see set_cone_filter); ordered so the
-      // common truly-affected consumer costs one comparison.
-      for (const LayerId y : model.graph().succs(id)) {
-        if (!y.valid() || acc_[y.value].is_host()) continue;
-        const double ys = timings_[y.value].start;
-        if (finish > ys || old_finish >= ys) enqueue(y);
-      }
-      if (const LayerId qn = queue_next(id); qn.valid()) {
-        const double ys = timings_[qn.value].start;
-        if (finish > ys || old_finish >= ys) enqueue(qn);
-      }
-    } else {
-      for (const LayerId y : model.graph().succs(id)) enqueue(y);
-      enqueue(queue_next(id));
-    }
+    for (const LayerId y : model.graph().succs(id)) enqueue(y);
+    enqueue(queue_next(id));
   }
 }
 
@@ -188,6 +184,7 @@ LayerId IncrementalSchedule::relocate(const Mapping& m, LayerId node,
   H2H_EXPECTS(!old_acc.is_host() && old_acc.value < queues_.size());
   const AccId new_acc = m.acc_of(node);
   H2H_EXPECTS(new_acc != old_acc);
+  bl_valid_ = false;
 
   // Remove from the old queue.
   auto& oq = queues_[old_acc.value];
@@ -311,13 +308,19 @@ void IncrementalSchedule::probe_refresh(const Mapping& m,
   enqueue(id);
 }
 
-void IncrementalSchedule::probe_retime() {
+bool IncrementalSchedule::probe_retime(std::uint32_t bound_from, double cut) {
   const ModelGraph& model = sim_->model();
   // Mirrors retime() — same sweep, same seeds, same comparisons — against
   // the overlay view, so the probe's arithmetic is bit-identical to
-  // applying the move (pinned by the property tests).
+  // applying the move (pinned by the property tests). Past bound_from,
+  // every layer's final finish plus its bottom level bounds the makespan
+  // from below: an unvisited layer keeps its committed finish (tail_), a
+  // visited one has its new finish now.
   for (std::uint32_t s = sweep_min_; s <= sweep_max_; ++s) {
-    if (pending_stamp_[s] != stamp_) continue;
+    if (pending_stamp_[s] != stamp_) {
+      if (s > bound_from && tail_[s] >= cut) return false;
+      continue;
+    }
     const LayerId id = by_seq_[s];
     ++retimes_;
 
@@ -329,32 +332,44 @@ void IncrementalSchedule::probe_retime() {
     const double free_at = prev.valid() ? cur(prev).finish : 0.0;
     const double start = std::max(ready, free_at);
     const double finish = start + base.duration();
+    if (s > bound_from && finish + bl_[s] >= cut) return false;
     if (start == base.start && finish == base.finish) continue;
-    const double old_finish = base.finish;  // before overlay() may alias base
     LayerTiming& t = overlay(id);
     t.start = start;
     t.finish = finish;
-    if (cone_filter_) {
-      for (const LayerId y : model.graph().succs(id)) {
-        if (!y.valid() || acc_[y.value].is_host()) continue;
-        const double ys = cur(y).start;
-        if (finish > ys || old_finish >= ys) enqueue(y);
-      }
-      if (const LayerId qn = eff_queue_next(id); qn.valid()) {
-        const double ys = cur(qn).start;
-        if (finish > ys || old_finish >= ys) enqueue(qn);
-      }
-    } else {
-      for (const LayerId y : model.graph().succs(id)) enqueue(y);
-      enqueue(eff_queue_next(id));
-    }
+    for (const LayerId y : model.graph().succs(id)) enqueue(y);
+    enqueue(eff_queue_next(id));
   }
+  return true;
+}
+
+void IncrementalSchedule::rebuild_bottom_levels() {
+  const ModelGraph& model = sim_->model();
+  bl_.resize(by_seq_.size());
+  tail_.resize(by_seq_.size());
+  // Reverse execution order: successors and queue followers have larger
+  // seq, so their bottom levels are final when a layer reads them.
+  for (auto s = static_cast<std::uint32_t>(by_seq_.size()); s-- > 0;) {
+    const LayerId id = by_seq_[s];
+    double bl = 0.0;
+    const auto extend = [&](LayerId next) {
+      if (!next.valid() || acc_[next.value].is_host()) return;
+      bl = std::max(bl,
+                    timings_[next.value].duration() + bl_[seq_[next.value]]);
+    };
+    for (const LayerId y : model.graph().succs(id)) extend(y);
+    extend(queue_next(id));
+    bl_[s] = bl;
+    tail_[s] = timings_[id.value].finish + bl;
+  }
+  bl_valid_ = true;
 }
 
 double IncrementalSchedule::probe_remap(const Mapping& m,
                                         const LocalityPlan& plan, LayerId node,
                                         AccId old_acc,
-                                        std::span<const LayerId> dirty) {
+                                        std::span<const LayerId> dirty,
+                                        double reject_at) {
   const AccId new_acc = m.acc_of(node);
   H2H_EXPECTS(!old_acc.is_host() && old_acc.value < queues_.size());
   H2H_EXPECTS(new_acc != old_acc && !new_acc.is_host());
@@ -381,13 +396,25 @@ double IncrementalSchedule::probe_remap(const Mapping& m,
   probe_old_next_ = np + 1 < oq.size() ? oq[np + 1] : LayerId{};
 
   // Same seeds as apply_remap: the node, the explicit dirty set, and the
-  // two displaced FIFO followers.
+  // two displaced FIFO followers. Only the node and the refreshed layers
+  // change a duration or a queue edge, so past the largest of their seqs
+  // every layer's bottom level is the committed one.
   begin_retime();
   probe_refresh(m, plan, node);
-  for (const LayerId id : dirty) probe_refresh(m, plan, id);
+  std::uint32_t changed_max = seq_[node.value];
+  for (const LayerId id : dirty) {
+    probe_refresh(m, plan, id);
+    changed_max = std::max(changed_max, seq_[id.value]);
+  }
   enqueue(queue_next(node));      // old queue's follower (node still listed)
   enqueue(eff_queue_next(node));  // new queue's follower
-  probe_retime();
+  std::uint32_t bound_from = kNoBound;
+  if (reject_at < std::numeric_limits<double>::infinity()) {
+    if (!bl_valid_) rebuild_bottom_levels();
+    bound_from = changed_max;
+  }
+  if (!probe_retime(bound_from, reject_at + std::abs(reject_at) * kBoundMargin))
+    return std::numeric_limits<double>::infinity();
 
   // Makespan: per-queue finishes stay monotone, so only the last effective
   // element of each queue matters; the moved node shifts at most which
@@ -433,6 +460,7 @@ void IncrementalSchedule::begin_journal() {
 
 void IncrementalSchedule::rollback_journal() {
   H2H_EXPECTS(journaling_);
+  bl_valid_ = false;
   // Reverse the queue surgery, newest move first.
   for (auto it = journal_moves_.rbegin(); it != journal_moves_.rend(); ++it) {
     auto& nq = queues_[it->new_acc.value];

@@ -18,6 +18,7 @@
 // bench bench_ablation_incremental measures the speedup.
 #pragma once
 
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -66,13 +67,29 @@ class IncrementalSchedule {
   /// returned makespan is bit-identical to applying and reading latency();
   /// a rejected candidate then costs no schedule journal, no queue moves,
   /// and no rollback (the step-4 loop's common case).
+  ///
+  /// `reject_at` lets the sweep stop as soon as the makespan is provably
+  /// >= reject_at (DESIGN.md §10, rejection bound); the probe then returns
+  /// +infinity instead of the makespan. A probe that is not stopped returns
+  /// exactly what the unbounded overload returns. The bound is read from the
+  /// committed schedule's bottom levels, rebuilt in O(V + E) by the first
+  /// bounded probe after any change to the committed schedule.
   [[nodiscard]] double probe_remap(const Mapping& m, const LocalityPlan& plan,
                                    LayerId node, AccId old_acc,
-                                   std::span<const LayerId> dirty);
+                                   std::span<const LayerId> dirty,
+                                   double reject_at);
+  /// The unbounded probe (reject_at = +infinity): always the exact makespan.
+  [[nodiscard]] double probe_remap(const Mapping& m, const LocalityPlan& plan,
+                                   LayerId node, AccId old_acc,
+                                   std::span<const LayerId> dirty) {
+    return probe_remap(m, plan, node, old_acc, dirty,
+                       std::numeric_limits<double>::infinity());
+  }
 
   /// Energy of the overlay state left by the last probe_remap (same
   /// accumulation order as energy(), overlay-patched timings). Valid until
-  /// the next probe_remap/apply/reset.
+  /// the next probe_remap/apply/reset, and only after a probe that returned
+  /// a finite makespan (a stopped probe leaves the overlay partial).
   [[nodiscard]] EnergyBreakdown probe_energy(const Mapping& m) const;
 
   /// Start recording timing and queue changes. One journal at a time.
@@ -106,19 +123,6 @@ class IncrementalSchedule {
   /// ablation bench's work accounting).
   [[nodiscard]] std::uint64_t retime_count() const noexcept { return retimes_; }
 
-  /// Cone filter (off by default): when a visited node's finish moves from
-  /// old_f to new_f, a consumer whose current start s satisfies
-  /// old_f < s && new_f <= s is provably unaffected (the producer was not
-  /// its binding contributor before and cannot become it now) and is not
-  /// enqueued. Final timings are bit-identical either way — only the visit
-  /// count drops (property-tested). Measured on the zoo probe workloads the
-  /// plain sweep's unchanged-start stop already terminates 99.7% of cones at
-  /// the first unaffected node, so the per-edge start reads cost more than
-  /// the ~1% of visits they avoid (bench_ablation_remap_probe) — the filter
-  /// exists for fan-out-heavy graphs where a producer feeds many consumers
-  /// whose starts sit well past its finish.
-  void set_cone_filter(bool on) noexcept { cone_filter_ = on; }
-
  private:
   void save_timing(LayerId id);
   /// Journaled queue surgery; returns the old queue's displaced follower.
@@ -142,7 +146,10 @@ class IncrementalSchedule {
   [[nodiscard]] LayerId eff_queue_prev(LayerId id) const;
   [[nodiscard]] LayerId eff_queue_next(LayerId id) const;
   void probe_refresh(const Mapping& m, const LocalityPlan& plan, LayerId id);
-  void probe_retime();
+  /// False when the sweep stopped on the bound: past seq `bound_from`, some
+  /// layer's final finish plus its bottom level reached `cut`.
+  [[nodiscard]] bool probe_retime(std::uint32_t bound_from, double cut);
+  void rebuild_bottom_levels();
 
   const Simulator* sim_;
   std::vector<LayerTiming> timings_;
@@ -166,7 +173,6 @@ class IncrementalSchedule {
   std::uint32_t stamp_ = 0;
   std::uint32_t sweep_min_ = 0;  // seq range holding pending work
   std::uint32_t sweep_max_ = 0;
-  bool cone_filter_ = false;
 
   // Probe overlay (see probe_remap): shadow timings activated per node by an
   // epoch stamp, plus the probed move's parameters. probe_ins_ is the index
@@ -179,6 +185,16 @@ class IncrementalSchedule {
   std::uint32_t probe_ins_ = 0;
   LayerId probe_old_prev_;
   LayerId probe_old_next_;
+
+  // Rejection bound (see probe_remap's reject_at), seq-indexed for the
+  // sweep's forward walk. bl_[s] is the bottom level of by_seq_[s] on the
+  // committed schedule: the longest duration-weighted path from its finish
+  // to a sink over graph successors and FIFO followers. tail_[s] adds the
+  // committed finish. Both go stale on any committed change (reset, retime,
+  // relocate, rollback) and are rebuilt by the next bounded probe.
+  std::vector<double> bl_;
+  std::vector<double> tail_;
+  bool bl_valid_ = false;
 
   // Journal. Timings are saved once per (journal, node) via an epoch stamp;
   // queue moves record enough to reverse the surgery exactly.

@@ -1,7 +1,7 @@
 // Minimal leveled logger. The mapping algorithm logs its decisions at Debug
 // level so tests/benches stay quiet by default while examples can turn on
-// tracing. Not thread-safe by design: the library is single-threaded
-// control-plane code (documented in README).
+// tracing. Thread-safe: the level is an atomic (serve workers log while
+// another thread may change it), and each message is one fprintf to stderr.
 #pragma once
 
 #include <string_view>

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <tuple>
 #include <utility>
 
@@ -178,6 +179,105 @@ TEST(Remapping, AcceptedMovesMatchLatencyTrajectory) {
   const double after = sim.simulate(p.mapping, p.plan).latency;
   if (stats.accepted > 0) EXPECT_LT(after, before);
   else EXPECT_DOUBLE_EQ(after, before);
+}
+
+// Step-4 trajectories recorded before the probe rejection bound and the
+// unchanged-layer skip existed, for both objectives. Neither may change a
+// decision: passes, accepted moves, final latency and energy (bit for bit),
+// and the placement/pinning of every layer must match the recording;
+// attempts may only drop (the skip probes fewer layers). The EDP rows run
+// unbounded probes, so they pin that the bound stays Latency-only.
+TEST(Remapping, TrajectoriesMatchRecordingUnderBothObjectives) {
+  constexpr auto kLat = RemapObjective::Latency;
+  constexpr auto kEdp = RemapObjective::EnergyDelayProduct;
+  constexpr auto kLowMinus = BandwidthSetting::LowMinus;
+  constexpr auto kMid = BandwidthSetting::Mid;
+  struct Row {
+    ZooModel model;
+    BandwidthSetting bw;
+    RemapObjective objective;
+    std::uint32_t passes;
+    std::uint32_t accepted;
+    std::uint32_t max_attempts;
+    std::uint64_t latency_bits;
+    std::uint64_t energy_bits;
+    std::uint64_t placement_hash;  // FNV-1a over (acc, pinned) per layer
+  };
+  const Row rows[] = {
+      {ZooModel::VLocNet, kLowMinus, kLat, 7, 94, 1632,
+       0x3fc4cee9120a53c4, 0x3ffa1f92b5f5d3d4, 0xfe3c2fb12c23e987},
+      {ZooModel::VLocNet, kLowMinus, kEdp, 6, 105, 1213,
+       0x3fc3ada605ecf1e0, 0x3ff46f53b5d239ea, 0xaf9949e7cd856079},
+      {ZooModel::VLocNet, kMid, kLat, 11, 105, 2516,
+       0x3fb26deb110b499f, 0x3fee314a0416fb43, 0xfc4946faee846fd2},
+      {ZooModel::VLocNet, kMid, kEdp, 8, 110, 1721,
+       0x3fb5618de763ef50, 0x3fed159323ad8a0a, 0x59d4616f8a318333},
+      {ZooModel::CasiaSurf, kLowMinus, kLat, 6, 46, 508,
+       0x3f81b5a5edd5dae9, 0x3fb80a8006d98c9a, 0x43307aaeaf4df148},
+      {ZooModel::CasiaSurf, kLowMinus, kEdp, 5, 42, 337,
+       0x3f81c5f6a46cb319, 0x3fb4bdd024af02ab, 0xac4f8ab3fe4e4d72},
+      {ZooModel::CasiaSurf, kMid, kLat, 4, 20, 316,
+       0x3f76d52748bb5ee6, 0x3fb3ab5820640be0, 0xfece165957331716},
+      {ZooModel::CasiaSurf, kMid, kEdp, 4, 23, 262,
+       0x3f764fad547f36cc, 0x3faf0cd3699e501e, 0x68da4152c5ee49b9},
+      {ZooModel::Vfs, kLowMinus, kLat, 2, 2, 80,
+       0x3fb373e25b390125, 0x3fe833585183b5e8, 0xf99381dd34a7fd5a},
+      {ZooModel::Vfs, kLowMinus, kEdp, 2, 2, 80,
+       0x3fb373e25b390125, 0x3fe833585183b5e8, 0xf99381dd34a7fd5a},
+      {ZooModel::Vfs, kMid, kLat, 2, 2, 80,
+       0x3fb2d46e6217ed83, 0x3fe7ee5d4bcfa815, 0xf99381dd34a7fd5a},
+      {ZooModel::Vfs, kMid, kEdp, 2, 2, 80,
+       0x3fb2d46e6217ed83, 0x3fe7ee5d4bcfa815, 0xf99381dd34a7fd5a},
+      {ZooModel::FaceBag, kLowMinus, kLat, 7, 43, 729,
+       0x3f7d80d4c8224ce7, 0x3fb4a1fa40146e7e, 0x76f339daac25e615},
+      {ZooModel::FaceBag, kLowMinus, kEdp, 4, 44, 370,
+       0x3f7f0cda00559b46, 0x3fb17146b3d56f5b, 0x35c2e7dfe30d9e70},
+      {ZooModel::FaceBag, kMid, kLat, 5, 41, 512,
+       0x3f736dd70224c4c4, 0x3fadaf591068e118, 0x26fd253dedde7ea4},
+      {ZooModel::FaceBag, kMid, kEdp, 5, 43, 381,
+       0x3f73421e0ebcbfda, 0x3faab783cbe538d5, 0x8ae1dc77da03f313},
+      {ZooModel::CnnLstm, kLowMinus, kLat, 3, 7, 28,
+       0x3f74e6306949e25f, 0x3fa1bc3602f1a3fe, 0x32d660a59f5e1abe},
+      {ZooModel::CnnLstm, kLowMinus, kEdp, 2, 6, 20,
+       0x3f74e6306949e25f, 0x3fa1bc3602f1a3fe, 0x32d660a59f5e1abe},
+      {ZooModel::CnnLstm, kMid, kLat, 3, 6, 27,
+       0x3f6ae8e8b611f3a0, 0x3f9c532b261690a1, 0x32d660a59f5e1abe},
+      {ZooModel::CnnLstm, kMid, kEdp, 2, 5, 19,
+       0x3f6ae8e8b611f3a0, 0x3f9c532b261690a1, 0x32d660a59f5e1abe},
+      {ZooModel::MoCap, kLowMinus, kLat, 3, 8, 40,
+       0x3f66cb53c184c63d, 0x3f9b58ff2377db85, 0x0baa1a7ab7ae2eff},
+      {ZooModel::MoCap, kLowMinus, kEdp, 2, 7, 28,
+       0x3f66cb53c184c63d, 0x3f9b58ff2377db85, 0x0baa1a7ab7ae2eff},
+      {ZooModel::MoCap, kMid, kLat, 2, 5, 26,
+       0x3f64780e05741a84, 0x3f96a19a9685174b, 0x0ed7fa5e4d87454c},
+      {ZooModel::MoCap, kMid, kEdp, 2, 6, 27,
+       0x3f64780e05741a84, 0x3f94eb05b34d68cc, 0x4252905540c39da7},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(std::string(zoo_info(row.model).key) + " @ " +
+                 std::string(to_string(row.bw)) +
+                 (row.objective == kLat ? " latency" : " edp"));
+    Prepared p =
+        prepare(make_model(row.model), SystemConfig::standard(row.bw));
+    const Simulator sim(p.model, p.sys);
+    RemapOptions opts;
+    opts.objective = row.objective;
+    const RemapStats stats =
+        data_locality_remapping(sim, p.mapping, p.plan, opts);
+    const ScheduleResult r = sim.simulate(p.mapping, p.plan);
+    std::uint64_t hash = 1469598103934665603ull;
+    for (const LayerId id : p.model.all_layers()) {
+      hash = (hash ^ p.mapping.acc_of(id).value) * 1099511628211ull;
+      hash = (hash ^ static_cast<std::uint64_t>(p.plan.pinned(id))) *
+             1099511628211ull;
+    }
+    EXPECT_EQ(stats.passes, row.passes);
+    EXPECT_EQ(stats.accepted, row.accepted);
+    EXPECT_LE(stats.attempts, row.max_attempts);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.latency), row.latency_bits);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(r.energy.total()), row.energy_bits);
+    EXPECT_EQ(hash, row.placement_hash);
+  }
 }
 
 }  // namespace
