@@ -16,7 +16,6 @@ void AcceleratorSpec::validate() const {
   if (dram_bandwidth <= 0) bad("local DRAM bandwidth must be > 0");
   if (energy_per_mac < 0 || energy_per_dram_byte < 0 || link_power < 0)
     bad("energy coefficients must be >= 0");
-  if (bw_acc_override < 0) bad("bw_acc_override must be >= 0");
   if (arith_bytes < 1 || arith_bytes > 8) bad("arith_bytes must be in [1,8]");
   if (!kinds.conv && !kinds.fc && !kinds.lstm)
     bad("accelerator supports no compute layer kind");

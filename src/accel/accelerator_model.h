@@ -53,8 +53,6 @@ struct AcceleratorSpec {
   double energy_per_mac = 0;   // joules
   double energy_per_dram_byte = 0;  // joules, local DRAM traffic
   double link_power = 0;       // watts while the host link is active
-  /// Optional per-accelerator override of the system-wide BW_acc (0 = none).
-  double bw_acc_override = 0;
   /// On-chip SRAM budgets for the MAESTRO-style reuse model (tiling.h).
   /// When set, weights that do not fit on chip are re-streamed from local
   /// DRAM per tile/timestep and the re-fetch time rooflines the compute.

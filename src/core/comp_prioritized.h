@@ -13,11 +13,11 @@
 // `max_candidates`; larger frontiers are split into deterministic chunks
 // mapped greedily in sequence. The enumeration itself is a lex-order DFS
 // with incremental accelerator tails: subtrees are cut by a
-// makespan-lower-bound check and (when `use_dominance`) by an exact
-// dominance table over partial-assignment signatures (DESIGN.md §10). Ties
-// beyond (makespan, finish-sum) keep the assignment the legacy mixed-radix
-// loop enumerated first — the colexicographically smallest choice vector
-// (see comp_prioritized.cpp).
+// makespan-lower-bound check, and the last chunk position is scored as one
+// sweep over its contiguous duration row (DESIGN.md §10). Ties beyond
+// (makespan, finish-sum) keep the assignment a mixed-radix loop with
+// choice[0] varying fastest enumerates first — the colexicographically
+// smallest choice vector (see comp_prioritized.cpp).
 #pragma once
 
 #include <functional>
@@ -36,14 +36,6 @@ struct CompPrioritizedStats {
   std::uint64_t evaluated = 0;
   /// Subtrees cut because even their lower bound lost on makespan.
   std::uint64_t bound_pruned = 0;
-  /// Subtrees cut by the dominance table.
-  std::uint64_t dominance_pruned = 0;
-  /// Signatures inserted into the dominance table.
-  std::uint64_t dominance_states = 0;
-  /// Inserts skipped because the table saturated (the search stays exact —
-  /// it just stops learning new signatures; CI guards this at zero on the
-  /// zoo models).
-  std::uint64_t dominance_fallbacks = 0;
 };
 
 struct CompPrioritizedOptions {
@@ -53,19 +45,6 @@ struct CompPrioritizedOptions {
   /// returns an accelerator that supports the layer, that accelerator is the
   /// only candidate considered.
   std::function<std::optional<AccId>(LayerId)> preferred;
-  /// Dominance pruning across partial assignments (DESIGN.md §10). Exact:
-  /// a subtree is cut only when an already-expanded prefix with the same
-  /// signature provably beats it on every criterion, including the
-  /// (makespan, finish-sum, colex) tie-break chain.
-  bool use_dominance = true;
-  /// Score the last chunk position as one batched sweep over its contiguous
-  /// duration row instead of driving it through the generic DFS machinery.
-  bool use_batched_sums = true;
-  /// Dominance-table capacity in slots (rounded up to a power of two).
-  /// Saturation is never wrong — it only disables further inserts and is
-  /// counted in `dominance_fallbacks`; tiny caps exist for the fallback
-  /// tests.
-  std::uint32_t dominance_slots = 1u << 15;
   /// Optional work-accounting sink.
   CompPrioritizedStats* stats = nullptr;
 };

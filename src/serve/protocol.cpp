@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -17,6 +18,20 @@ namespace {
 
 constexpr std::uint32_t kMaxBatch = 4096;
 constexpr std::uint32_t kMaxRounds = 64;
+
+/// The one reader for integer wire fields: a JSON number with no fractional
+/// part in [lo, hi], or nullopt for anything else (absent, another type, a
+/// fraction, NaN, or out of range). The range check comes before the cast,
+/// so an out-of-range double is never converted: past UINT32_MAX that
+/// conversion is undefined and in practice wraps onto a real accelerator id.
+[[nodiscard]] std::optional<std::uint32_t> read_uint(
+    const json::Value* v, std::uint32_t lo,
+    std::uint32_t hi = std::numeric_limits<std::uint32_t>::max()) {
+  if (v == nullptr || !v->is_number()) return std::nullopt;
+  const double d = v->as_number();
+  if (!(d >= lo && d <= hi) || d != std::floor(d)) return std::nullopt;
+  return static_cast<std::uint32_t>(d);
+}
 
 [[nodiscard]] std::string known_zoo_keys() {
   std::string keys;
@@ -142,11 +157,9 @@ struct LinksParse {
                                     m.key.c_str()));
             }
           }
-          const json::Value* acc = e.find("acc");
+          const std::optional<std::uint32_t> acc = read_uint(e.find("acc"), 0);
           const json::Value* obw = e.find("bw_gbps");
-          if (acc == nullptr || !acc->is_number() ||
-              acc->as_number() < 0 ||
-              acc->as_number() != std::floor(acc->as_number())) {
+          if (!acc) {
             return fail(ErrorCode::BadField,
                         "links.overrides.acc: expected a non-negative "
                         "integer (required)");
@@ -156,22 +169,20 @@ struct LinksParse {
                         "links.overrides.bw_gbps: expected a number "
                         "(required)");
           }
-          overrides.emplace_back(static_cast<std::uint32_t>(acc->as_number()),
-                                 gbps(obw->as_number()));
+          overrides.emplace_back(*acc, gbps(obw->as_number()));
         }
       }
       out.links = Interconnect::mixed(gbps(bw), std::move(overrides));
     } else {
-      const json::Value* group = obj.find("group_size");
-      if (group == nullptr || !group->is_number() ||
-          group->as_number() < 1 ||
-          group->as_number() != std::floor(group->as_number())) {
+      const std::optional<std::uint32_t> group =
+          read_uint(obj.find("group_size"), 1);
+      if (!group) {
         return fail(ErrorCode::BadField,
                     "links.group_size: expected a positive integer "
                     "(required)");
       }
       Interconnect::HierarchicalSpec spec;
-      spec.group_size = static_cast<std::uint32_t>(group->as_number());
+      spec.group_size = *group;
       double intra = 0, uplink = 0, host = 0, lat_us = 0;
       for (std::string err :
            {number("intra_gbps", true, 0, intra),
@@ -413,13 +424,13 @@ template <typename Fail>
   }
 
   if (const json::Value* batch = root.find("batch")) {
-    const double b = batch->is_number() ? batch->as_number() : -1;
-    if (b < 1 || b > kMaxBatch || b != std::floor(b)) {
+    const std::optional<std::uint32_t> b = read_uint(batch, 1, kMaxBatch);
+    if (!b) {
       return fail(ErrorCode::BadField,
                   strformat("batch: expected an integer in [1, %u]",
                             kMaxBatch));
     }
-    req.batch = static_cast<std::uint32_t>(b);
+    req.batch = *b;
   }
 
   if (const json::Value* options = root.find("options")) {
@@ -534,12 +545,12 @@ template <typename Fail>
       tenant.slo_s = slo->as_number();
     }
     if (const json::Value* prio = t.find("priority")) {
-      const double p = prio->is_number() ? prio->as_number() : -1;
-      if (p < 1 || p > 1e6 || p != std::floor(p)) {
+      const std::optional<std::uint32_t> p = read_uint(prio, 1, 1000000);
+      if (!p) {
         return fail(ErrorCode::BadField,
                     "tenants.priority: expected an integer in [1, 1000000]");
       }
-      tenant.priority = static_cast<std::uint32_t>(p);
+      tenant.priority = *p;
     }
     if (const json::Value* caps = t.find("caps")) {
       if (!caps->is_string()) {
@@ -572,13 +583,13 @@ template <typename Fail>
   }
 
   if (const json::Value* rounds = root.find("max_rounds")) {
-    const double r = rounds->is_number() ? rounds->as_number() : -1;
-    if (r < 0 || r > kMaxRounds || r != std::floor(r)) {
+    const std::optional<std::uint32_t> r = read_uint(rounds, 0, kMaxRounds);
+    if (!r) {
       return fail(ErrorCode::BadField,
                   strformat("max_rounds: expected an integer in [0, %u]",
                             kMaxRounds));
     }
-    req.max_rounds = static_cast<std::uint32_t>(r);
+    req.max_rounds = *r;
   }
   if (const json::Value* v = root.find("steal_round")) {
     if (!v->is_bool()) {
@@ -665,13 +676,12 @@ template <typename Fail>
                           kind->as_string().c_str()));
   }
   req.event.kind = *parsed_kind;
-  const json::Value* acc = ev.find("acc");
-  if (acc == nullptr || !acc->is_number() || acc->as_number() < 0 ||
-      acc->as_number() != std::floor(acc->as_number())) {
+  const std::optional<std::uint32_t> acc = read_uint(ev.find("acc"), 0);
+  if (!acc) {
     return fail(ErrorCode::BadField,
                 "repair.acc: expected a non-negative integer (required)");
   }
-  req.event.acc = AccId{static_cast<std::uint32_t>(acc->as_number())};
+  req.event.acc = AccId{*acc};
   const json::Value* scale = ev.find("scale");
   if (req.event.has_scale()) {
     if (scale == nullptr || !scale->is_number() ||
@@ -727,13 +737,13 @@ template <typename Fail>
     req.bw_gbps = req.links->base_bw() / 1e9;
   }
   if (const json::Value* batch = root.find("batch")) {
-    const double b = batch->is_number() ? batch->as_number() : -1;
-    if (b < 1 || b > kMaxBatch || b != std::floor(b)) {
+    const std::optional<std::uint32_t> b = read_uint(batch, 1, kMaxBatch);
+    if (!b) {
       return fail(ErrorCode::BadField,
                   strformat("batch: expected an integer in [1, %u]",
                             kMaxBatch));
     }
-    req.batch = static_cast<std::uint32_t>(b);
+    req.batch = *b;
   }
   if (const json::Value* options = root.find("options")) {
     if (!options->is_object()) {

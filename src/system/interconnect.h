@@ -14,9 +14,7 @@
 //    pre-topology code (pinned by test_interconnect_identity.cpp).
 //  - mixed(default, overrides): per-accelerator uplinks; a pair transfers
 //    at the slower of its two endpoints' uplinks, the host link is the
-//    accelerator's own uplink. Subsumes the deprecated per-spec
-//    bw_acc_override (SystemConfig's scalar constructor folds overrides
-//    into exactly this shape).
+//    accelerator's own uplink.
 //  - hierarchical(spec): a switch/fabric tree. Accelerators are grouped in
 //    consecutive runs of `group_size`; same-group pairs transfer at
 //    `intra_bw`, cross-group traffic shares the `uplink_bw` fabric, host

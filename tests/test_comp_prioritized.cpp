@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "core/comp_prioritized.h"
+#include "graph/algorithms.h"
 #include "test_helpers.h"
 #include "util/error.h"
 
@@ -177,7 +180,7 @@ TEST(CompPrioritized, BalancesIndependentBranchesAcrossAccelerators) {
 
 // A wave of identical parallel convolutions on identical accelerators: every
 // permutation of an assignment reaches the same per-accelerator tail vector,
-// the regime the dominance table exists for.
+// so (makespan, finish-sum) ties are everywhere and the tie-break decides.
 [[nodiscard]] ModelGraph make_symmetric_wave_model(std::uint32_t width) {
   ModelBuilder b("sym-wave");
   const LayerId in = b.input("in", 8, 32, 32);
@@ -188,108 +191,139 @@ TEST(CompPrioritized, BalancesIndependentBranchesAcrossAccelerators) {
   return std::move(b).build();
 }
 
-void expect_identical_mappings(const ModelGraph& m, const Mapping& a,
-                               const Mapping& b, const char* what) {
-  for (const LayerId id : m.all_layers()) {
-    ASSERT_EQ(a.acc_of(id), b.acc_of(id)) << what << ": layer " << id.value;
-    ASSERT_EQ(a.seq_of(id), b.seq_of(id)) << what << ": layer " << id.value;
+// Step 1 written out literally, independent of the pruned DFS: waves from a
+// frontier() rescan, the same max_candidates chunk split, then every
+// assignment of a chunk enumerated as a mixed-radix counter with choice[0]
+// varying fastest. An assignment replaces the incumbent only when strictly
+// better on (makespan, finish-sum), so on a tie the first enumerated wins.
+[[nodiscard]] Mapping exhaustive_step1(const Simulator& sim,
+                                       std::uint64_t max_candidates) {
+  const ModelGraph& m = sim.model();
+  const CostTable& costs = sim.costs();
+  Mapping mapping(m);
+  std::vector<bool> done(m.layer_count(), false);
+  for (const LayerId id : m.all_layers())
+    if (m.layer(id).kind == LayerKind::Input) done[id.value] = true;
+  std::vector<double> finish(m.layer_count(), 0.0);
+  std::vector<double> acc_tail(sim.sys().accelerator_count(), 0.0);
+  double makespan = 0.0;
+
+  for (std::vector<LayerId> front = frontier(m.graph(), done); !front.empty();
+       front = frontier(m.graph(), done)) {
+    std::vector<std::span<const AccId>> cand;
+    std::vector<double> ready;
+    for (const LayerId id : front) {
+      cand.push_back(costs.candidates(id, m.layer(id).kind));
+      double r = 0.0;
+      for (const LayerId p : m.graph().preds(id))
+        r = std::max(r, finish[p.value]);
+      ready.push_back(r);
+    }
+    for (std::size_t begin = 0, end; begin < front.size(); begin = end) {
+      std::uint64_t product = 1;
+      for (end = begin; end < front.size(); ++end) {
+        const std::uint64_t next = product * cand[end].size();
+        if (end > begin && next > max_candidates) break;
+        product = next;
+      }
+      const std::size_t k = end - begin;
+      std::vector<std::uint32_t> choice(k, 0), best;
+      double best_mk = std::numeric_limits<double>::infinity();
+      double best_sum = std::numeric_limits<double>::infinity();
+      for (std::uint64_t r = 0; r < product; ++r) {
+        std::vector<double> tails = acc_tail;
+        double mk = makespan, sum = 0.0;
+        for (std::size_t i = 0; i < k; ++i) {
+          const std::size_t n = begin + i;
+          const AccId a = cand[n][choice[i]];
+          const double fin = std::max(ready[n], tails[a.value]) +
+                             costs.unlocalized_row(front[n])[a.value];
+          tails[a.value] = fin;
+          mk = std::max(mk, fin);
+          sum += fin;
+        }
+        if (mk < best_mk || (mk == best_mk && sum < best_sum)) {
+          best_mk = mk;
+          best_sum = sum;
+          best = choice;
+        }
+        for (std::size_t i = 0; i < k; ++i) {  // next, choice[0] fastest
+          if (++choice[i] < cand[begin + i].size()) break;
+          choice[i] = 0;
+        }
+      }
+      for (std::size_t i = 0; i < k; ++i) {
+        const std::size_t n = begin + i;
+        const AccId a = cand[n][best[i]];
+        mapping.assign(front[n], a);
+        const double fin = std::max(ready[n], acc_tail[a.value]) +
+                           costs.unlocalized_row(front[n])[a.value];
+        acc_tail[a.value] = finish[front[n].value] = fin;
+        makespan = std::max(makespan, fin);
+        done[front[n].value] = true;
+      }
+    }
+  }
+  return mapping;
+}
+
+void expect_matches_oracle(const Simulator& sim, const std::string& what,
+                           std::uint64_t max_candidates =
+                               CompPrioritizedOptions{}.max_candidates) {
+  CompPrioritizedOptions opt;
+  opt.max_candidates = max_candidates;
+  const Mapping got = computation_prioritized_mapping(sim, opt);
+  const Mapping want = exhaustive_step1(sim, max_candidates);
+  for (const LayerId id : sim.model().all_layers()) {
+    ASSERT_EQ(got.acc_of(id), want.acc_of(id))
+        << what << ": layer " << id.value;
+    ASSERT_EQ(got.seq_of(id), want.seq_of(id))
+        << what << ": layer " << id.value;
   }
 }
 
-// The dominance table and the batched leaf scan are pure optimizations: the
-// full on/off grid must land on the same mapping, on every zoo model at both
-// bandwidth corners.
-TEST(CompPrioritized, DominanceAndBatchedGridBitIdenticalOnZoo) {
+// The bound prune and the batched leaf sweep are pure optimizations: step 1
+// must land on exactly the mapping the literal enumeration picks.
+TEST(CompPrioritized, MatchesExhaustiveOracle) {
   for (const ZooModel zm :
        {ZooModel::VLocNet, ZooModel::CasiaSurf, ZooModel::Vfs,
         ZooModel::FaceBag, ZooModel::CnnLstm, ZooModel::MoCap}) {
     const ModelGraph m = make_model(zm);
     for (const double bw : {0.125e9, 0.5e9}) {
       const SystemConfig sys = SystemConfig::standard(bw);
-      const Simulator sim(m, sys);
-      CompPrioritizedOptions reference;
-      reference.use_dominance = false;
-      reference.use_batched_sums = false;
-      const Mapping want = computation_prioritized_mapping(sim, reference);
-      for (const bool dom : {false, true}) {
-        for (const bool batched : {false, true}) {
-          if (!dom && !batched) continue;
-          CompPrioritizedOptions opt;
-          opt.use_dominance = dom;
-          opt.use_batched_sums = batched;
-          CompPrioritizedStats st;
-          opt.stats = &st;
-          const Mapping got = computation_prioritized_mapping(sim, opt);
-          expect_identical_mappings(m, want, got, zoo_info(zm).key.data());
-          EXPECT_EQ(st.dominance_fallbacks, 0u) << zoo_info(zm).key;
-        }
-      }
+      expect_matches_oracle(Simulator(m, sys),
+                            strformat("%s @ %g", zoo_info(zm).key.data(), bw));
     }
   }
+  const SystemConfig three = testing::make_uniform_system(3);
+  for (const std::uint32_t width : {4u, 6u})
+    expect_matches_oracle(Simulator(make_symmetric_wave_model(width), three),
+                          strformat("sym-wave %u", width));
+  expect_matches_oracle(
+      Simulator(testing::make_diamond_model(), testing::make_uniform_system(2)),
+      "diamond");
+  const ModelGraph mini = make_mini_mmmt_model();
+  const SystemConfig hetero = make_mini_hetero_system();
+  for (const std::uint64_t cap : {1u, 2u, 4u})
+    expect_matches_oracle(Simulator(mini, hetero),
+                          strformat("mini max_candidates=%u", unsigned(cap)),
+                          cap);
 }
 
-// On a permutation-symmetric wave the dominance table must actually cut
-// subtrees — and still reproduce the exact unpruned mapping (including the
-// colex-smallest tie-break, which symmetric waves exercise maximally).
-TEST(CompPrioritized, DominancePrunesSymmetricWavesExactly) {
-  const ModelGraph m = make_symmetric_wave_model(6);
-  const SystemConfig sys = testing::make_uniform_system(3);
-  const Simulator sim(m, sys);
-
-  CompPrioritizedOptions off;
-  off.use_dominance = false;
-  const Mapping want = computation_prioritized_mapping(sim, off);
-
-  CompPrioritizedOptions on;
-  CompPrioritizedStats st;
-  on.stats = &st;
-  const Mapping got = computation_prioritized_mapping(sim, on);
-
-  expect_identical_mappings(m, want, got, "sym-wave");
-  EXPECT_GT(st.dominance_pruned, 0u);
-  EXPECT_GT(st.dominance_states, 0u);
-  EXPECT_EQ(st.dominance_fallbacks, 0u);
-}
-
-// A deliberately tiny dominance table must saturate, count the fallbacks,
-// and stay exact: saturation only stops learning, never prunes wrongly.
-TEST(CompPrioritized, SaturatedDominanceTableStaysExact) {
-  const ModelGraph m = make_symmetric_wave_model(6);
-  const SystemConfig sys = testing::make_uniform_system(3);
-  const Simulator sim(m, sys);
-
-  CompPrioritizedOptions off;
-  off.use_dominance = false;
-  const Mapping want = computation_prioritized_mapping(sim, off);
-
-  CompPrioritizedOptions tiny;
-  tiny.dominance_slots = 4;
-  CompPrioritizedStats st;
-  tiny.stats = &st;
-  const Mapping got = computation_prioritized_mapping(sim, tiny);
-
-  expect_identical_mappings(m, want, got, "saturated");
-  EXPECT_GT(st.dominance_fallbacks, 0u);
-}
-
-// Stats sanity on a mini model: wave/chunk accounting is exact, evaluation
-// counts are positive, and disabled knobs report zero work.
+// Stats sanity on a mini model: wave/chunk accounting is exact and
+// evaluation counts are positive.
 TEST(CompPrioritized, StatsAccounting) {
   const ModelGraph m = make_mini_mmmt_model();
   const SystemConfig sys = make_mini_hetero_system();
   const Simulator sim(m, sys);
 
   CompPrioritizedOptions opt;
-  opt.use_dominance = false;
   CompPrioritizedStats st;
   opt.stats = &st;
   (void)computation_prioritized_mapping(sim, opt);
   EXPECT_GT(st.waves, 0u);
   EXPECT_GE(st.chunks, st.waves);
   EXPECT_GT(st.evaluated, 0u);
-  EXPECT_EQ(st.dominance_pruned, 0u);
-  EXPECT_EQ(st.dominance_states, 0u);
-  EXPECT_EQ(st.dominance_fallbacks, 0u);
 }
 
 }  // namespace

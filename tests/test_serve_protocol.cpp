@@ -266,6 +266,49 @@ TEST(ServeProtocolLinks, RejectsConflictsAndBadShapes) {
             ErrorCode::BadField);  // uplink missing
 }
 
+// Integer fields past UINT32_MAX must not wrap in the double -> uint32
+// conversion onto a real accelerator id or group size (2^32 + 3 would alias
+// accelerator 3): they answer bad_field before any session sees them.
+TEST(ServeProtocolLinks, RejectsIntegersPastUint32) {
+  for (const char* n : {"4294967296", "4294967299"}) {
+    const WireError ov = parse_err(strformat(
+        R"({"schema_version":1,"model":"mocap","links":{"shape":"mixed",)"
+        R"("bw_gbps":0.5,"overrides":[{"acc":%s,"bw_gbps":1}]}})",
+        n));
+    EXPECT_EQ(ov.code, ErrorCode::BadField) << n;
+    EXPECT_EQ(ov.message,
+              "links.overrides.acc: expected a non-negative integer "
+              "(required)");
+
+    const WireError group = parse_err(strformat(
+        R"({"schema_version":1,"model":"mocap","links":{)"
+        R"("shape":"hierarchical","group_size":%s,"intra_gbps":1.25,)"
+        R"("uplink_gbps":0.5}})",
+        n));
+    EXPECT_EQ(group.code, ErrorCode::BadField) << n;
+    EXPECT_EQ(group.message,
+              "links.group_size: expected a positive integer (required)");
+
+    const auto repair = serve::parse_any_request(strformat(
+        R"({"schema_version":1,"model":"mocap",)"
+        R"("repair":{"event":"acc_lost","acc":%s}})",
+        n));
+    const WireError* err = std::get_if<WireError>(&repair);
+    ASSERT_NE(err, nullptr) << n;
+    EXPECT_EQ(err->code, ErrorCode::BadField) << n;
+    EXPECT_EQ(err->message,
+              "repair.acc: expected a non-negative integer (required)");
+  }
+  // The largest uint32 still parses; the repair session answers it
+  // unknown_acc in-band.
+  const auto top = serve::parse_any_request(
+      R"({"schema_version":1,"model":"mocap",)"
+      R"("repair":{"event":"acc_lost","acc":4294967295}})");
+  const auto* req = std::get_if<serve::WireRepairRequest>(&top);
+  ASSERT_NE(req, nullptr);
+  EXPECT_EQ(req->event.acc.value, 4294967295u);
+}
+
 TEST(ServeProtocolLinks, ResponseEchoesCanonicalTopology) {
   const ModelGraph model = testing::make_mini_mmmt_model();
   const SystemConfig sys = testing::make_mini_hetero_system();

@@ -37,13 +37,11 @@ TEST(SystemConfig, SupportingFiltersByKind) {
 }
 
 TEST(SystemConfig, BandwidthOverridePerAccelerator) {
-  auto specs = standard_catalog();
-  specs[0].bw_acc_override = 2e9;
   std::vector<AcceleratorPtr> accs;
-  for (auto& s : specs) accs.push_back(make_analytical(std::move(s)));
-  HostParams host;
-  host.bw_acc = 0.5e9;
-  const SystemConfig sys(std::move(accs), host);
+  for (auto& s : standard_catalog())
+    accs.push_back(make_analytical(std::move(s)));
+  const SystemConfig sys(std::move(accs),
+                         Interconnect::mixed(0.5e9, {{0u, 2e9}}));
   EXPECT_DOUBLE_EQ(sys.bw_acc(AccId{0}), 2e9);
   EXPECT_DOUBLE_EQ(sys.bw_acc(AccId{1}), 0.5e9);
 }
@@ -78,10 +76,10 @@ TEST(SystemConfig, LinkOverrideSteersThePipeline) {
   std::vector<AcceleratorPtr> accs;
   AcceleratorSpec slow = testing::simple_spec("SLOW", gib(1));
   AcceleratorSpec fast = testing::simple_spec("FAST", gib(1));
-  fast.bw_acc_override = 1.25e9;
   accs.push_back(make_analytical(std::move(slow)));
   accs.push_back(make_analytical(std::move(fast)));
-  const SystemConfig sys(std::move(accs), HostParams{0.125e9, 0.0});
+  const SystemConfig sys(std::move(accs),
+                         Interconnect::mixed(0.125e9, {{1u, 1.25e9}}));
 
   const ModelGraph m = testing::make_chain_model();
   const PlanResponse r = plan_once(m, sys);
