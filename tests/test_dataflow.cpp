@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <type_traits>
+
 #include "accel/dataflow.h"
 #include "util/error.h"
 
@@ -91,11 +94,21 @@ TEST(Dataflow, StyleNamesAreStable) {
 
 // Property sweep: utilization for supported MAC layers always lies in
 // (0, 2.25] for every style/geometry combination.
+//
+// gtest names each instance by the raw bytes of its param. The three bytes
+// after `style` would otherwise be uninitialised padding, so they are an
+// explicit zeroed member: every build prints the same 12 bytes and so the
+// same names.
 struct UtilCase {
+  UtilCase(DataflowStyle s, std::uint32_t a, std::uint32_t b)
+      : style(s), dim_a(a), dim_b(b) {}
   DataflowStyle style;
+  std::uint8_t pad[3] = {};
   std::uint32_t dim_a;
   std::uint32_t dim_b;
 };
+static_assert(sizeof(UtilCase) == 12);
+static_assert(std::has_unique_object_representations_v<UtilCase>);
 
 class UtilizationRange : public ::testing::TestWithParam<UtilCase> {};
 
