@@ -1,9 +1,10 @@
 #include "serve/protocol.h"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -18,294 +19,509 @@ namespace {
 
 constexpr std::uint32_t kMaxBatch = 4096;
 constexpr std::uint32_t kMaxRounds = 64;
+constexpr std::uint32_t kMaxTenants = 64;
+constexpr std::uint32_t kAnyUint = std::numeric_limits<std::uint32_t>::max();
+
+using AnyRequest = std::variant<WireRequest, WireTenantsRequest,
+                                WireRepairRequest, WireError>;
 
 /// The one reader for integer wire fields: a JSON number with no fractional
 /// part in [lo, hi], or nullopt for anything else (absent, another type, a
 /// fraction, NaN, or out of range). The range check comes before the cast,
 /// so an out-of-range double is never converted: past UINT32_MAX that
 /// conversion is undefined and in practice wraps onto a real accelerator id.
-[[nodiscard]] std::optional<std::uint32_t> read_uint(
-    const json::Value* v, std::uint32_t lo,
-    std::uint32_t hi = std::numeric_limits<std::uint32_t>::max()) {
+[[nodiscard]] std::optional<std::uint32_t> read_uint(const json::Value* v,
+                                                     std::uint32_t lo,
+                                                     std::uint32_t hi) {
   if (v == nullptr || !v->is_number()) return std::nullopt;
   const double d = v->as_number();
   if (!(d >= lo && d <= hi) || d != std::floor(d)) return std::nullopt;
   return static_cast<std::uint32_t>(d);
 }
 
-[[nodiscard]] std::string known_zoo_keys() {
-  std::string keys;
-  for (const ZooInfo& info : zoo_catalog()) {
-    if (!keys.empty()) keys += ", ";
-    keys += info.key;
-  }
-  return keys;
-}
-
-/// Canonical-string -> JSON value for one option row (inverse of the string
-/// conversion parse_options does). Unset options return null.
-[[nodiscard]] json::Value option_value(const PlanOptionSpec& spec,
-                                       const PlanOptions& options) {
-  const std::string v = spec.get(options);
-  if (v.empty()) return json::Value(nullptr);
-  switch (spec.kind) {
-    case PlanOptionSpec::Kind::Bool:
-      return json::Value(v == "true");
-    case PlanOptionSpec::Kind::Double: {
-      double d = 0;
-      const auto [ptr, ec] =
-          std::from_chars(v.data(), v.data() + v.size(), d);
-      H2H_ASSERT(ec == std::errc() && ptr == v.data() + v.size());
-      return json::Value(d);
-    }
-    case PlanOptionSpec::Kind::Enum:
-      return json::Value(v);
-  }
-  H2H_ASSERT(false);
-  return json::Value(nullptr);
-}
-
-/// parse_links_object result: a topology, or (code, error) on failure.
-struct LinksParse {
-  std::optional<Interconnect> links;
-  ErrorCode code = ErrorCode::BadField;
-  std::string error;  // empty = success
-};
-
-/// Parse the request's "links" object (schema in protocol.h). Strict like
-/// the rest of the wire: unknown fields are rejected, every value is
-/// type-checked, and Interconnect's own validation errors surface as
-/// bad_field.
-[[nodiscard]] LinksParse parse_links_object(const json::Object& obj) {
-  LinksParse out;
-  const auto fail = [&out](ErrorCode code, std::string message) {
-    out.code = code;
-    out.error = std::move(message);
-    return out;
-  };
-
-  const json::Value* shape = obj.find("shape");
-  if (shape == nullptr || !shape->is_string()) {
-    return fail(ErrorCode::BadField,
-                "links.shape: expected \"uniform\", \"mixed\", or "
-                "\"hierarchical\" (required)");
-  }
-  const std::string& kind = shape->as_string();
-
-  std::vector<std::string_view> allowed{"shape"};
-  if (kind == "uniform") {
-    allowed.insert(allowed.end(), {"bw_gbps"});
-  } else if (kind == "mixed") {
-    allowed.insert(allowed.end(), {"bw_gbps", "overrides"});
-  } else if (kind == "hierarchical") {
-    allowed.insert(allowed.end(), {"group_size", "intra_gbps", "uplink_gbps",
-                                   "host_gbps", "hop_latency_us"});
-  } else {
-    return fail(ErrorCode::BadField,
-                strformat("links.shape: unknown shape '%s'", kind.c_str()));
-  }
-  for (const json::Object::Member& m : obj.members()) {
-    if (std::find(allowed.begin(), allowed.end(), m.key) == allowed.end()) {
-      return fail(ErrorCode::UnknownField,
-                  strformat("links.%s: unknown field for shape %s",
-                            m.key.c_str(), kind.c_str()));
-    }
-  }
-
-  // Required/optional positive numbers, spelled in GB/s on the wire.
-  const auto number = [&obj](std::string_view key, bool required,
-                             double fallback, double& dst) -> std::string {
-    const json::Value* v = obj.find(key);
-    if (v == nullptr) {
-      if (required)
-        return strformat("links.%.*s: required for this shape",
-                         static_cast<int>(key.size()), key.data());
-      dst = fallback;
-      return {};
-    }
-    if (!v->is_number())
-      return strformat("links.%.*s: expected a number",
-                       static_cast<int>(key.size()), key.data());
-    dst = v->as_number();
-    return {};
-  };
-
-  try {
-    if (kind == "uniform") {
-      double bw = 0;
-      if (std::string err = number("bw_gbps", true, 0, bw); !err.empty())
-        return fail(ErrorCode::BadField, std::move(err));
-      out.links = Interconnect::uniform(gbps(bw));
-    } else if (kind == "mixed") {
-      double bw = 0;
-      if (std::string err = number("bw_gbps", true, 0, bw); !err.empty())
-        return fail(ErrorCode::BadField, std::move(err));
-      std::vector<Interconnect::Override> overrides;
-      if (const json::Value* ov = obj.find("overrides")) {
-        if (!ov->is_array())
-          return fail(ErrorCode::BadField,
-                      "links.overrides: expected an array");
-        for (const json::Value& entry : ov->as_array()) {
-          if (!entry.is_object())
-            return fail(ErrorCode::BadField,
-                        "links.overrides: expected objects with acc, bw_gbps");
-          const json::Object& e = entry.as_object();
-          for (const json::Object::Member& m : e.members()) {
-            if (m.key != "acc" && m.key != "bw_gbps") {
-              return fail(ErrorCode::UnknownField,
-                          strformat("links.overrides.%s: unknown field",
-                                    m.key.c_str()));
-            }
-          }
-          const std::optional<std::uint32_t> acc = read_uint(e.find("acc"), 0);
-          const json::Value* obw = e.find("bw_gbps");
-          if (!acc) {
-            return fail(ErrorCode::BadField,
-                        "links.overrides.acc: expected a non-negative "
-                        "integer (required)");
-          }
-          if (obw == nullptr || !obw->is_number()) {
-            return fail(ErrorCode::BadField,
-                        "links.overrides.bw_gbps: expected a number "
-                        "(required)");
-          }
-          overrides.emplace_back(*acc, gbps(obw->as_number()));
-        }
-      }
-      out.links = Interconnect::mixed(gbps(bw), std::move(overrides));
-    } else {
-      const std::optional<std::uint32_t> group =
-          read_uint(obj.find("group_size"), 1);
-      if (!group) {
-        return fail(ErrorCode::BadField,
-                    "links.group_size: expected a positive integer "
-                    "(required)");
-      }
-      Interconnect::HierarchicalSpec spec;
-      spec.group_size = *group;
-      double intra = 0, uplink = 0, host = 0, lat_us = 0;
-      for (std::string err :
-           {number("intra_gbps", true, 0, intra),
-            number("uplink_gbps", true, 0, uplink),
-            number("host_gbps", false, 0, host),
-            number("hop_latency_us", false, 0, lat_us)}) {
-        if (!err.empty()) return fail(ErrorCode::BadField, std::move(err));
-      }
-      spec.intra_bw = gbps(intra);
-      spec.uplink_bw = gbps(uplink);
-      spec.host_bw = host == 0 ? 0 : gbps(host);
-      spec.hop_latency_s = lat_us * 1e-6;
-      out.links = Interconnect::hierarchical(spec);
-    }
-  } catch (const ConfigError& e) {
-    return fail(ErrorCode::BadField, strformat("links: %s", e.what()));
+/// "a, b, c".
+[[nodiscard]] std::string join(std::span<const std::string_view> keys) {
+  std::string out;
+  for (const std::string_view key : keys) {
+    out.append(out.empty() ? "" : ", ").append(key);
   }
   return out;
+}
+
+/// The domain a number field declares.
+enum class Sign { Any, Positive, NonNegative };
+
+/// Reads one request line. Each wire field is declared once, at its read:
+/// dotted path (the member key is its last segment), JSON type, range, and
+/// whether it is required; the reader derives the check and the rejection,
+/// bad_field "<path>: expected <type>[ (required)]", from it. The first
+/// rejection sticks and makes every later read a no-op, so a schema is
+/// straight-line code and the answer names the first fault in reading order.
+class Reader {
+ public:
+  [[nodiscard]] bool ok() const noexcept { return !fault_.has_value(); }
+
+  /// Records a rejection; only the first one is kept.
+  void fail(ErrorCode code, std::string message) {
+    if (ok()) fault_ = WireError{code, std::move(message), {}};
+  }
+
+  /// Records bad_field "<path>: expected <what>[ (required)]".
+  void expected(std::string_view path, const std::string& what,
+                bool required = false) {
+    if (!ok()) return;
+    fail(ErrorCode::BadField, std::string(path) + ": expected " + what +
+                                  (required ? " (required)" : ""));
+  }
+
+  /// Reads `root` as one schema: the head ("id", echoed by any later
+  /// rejection, then "schema_version"), then `schema`'s fields. Returns the
+  /// request, or the first rejection.
+  template <typename Request>
+  [[nodiscard]] AnyRequest read(
+      const json::Object& root,
+      void (*schema)(Reader&, const json::Object&, Request&)) {
+    Request req;
+    const json::Value* id = root.find("id");
+    if (id != nullptr && !id->is_string()) expected("id", "a string");
+    if (id != nullptr && id->is_string()) req.id = id->as_string();
+    const json::Value* version = find(root, "schema_version");
+    if (version == nullptr || !version->is_number() ||
+        version->as_number() != static_cast<double>(kSchemaVersion)) {
+      fail(ErrorCode::SchemaVersion,
+           strformat("%s schema_version (this server speaks %d)",
+                     version == nullptr ? "missing" : "unsupported",
+                     kSchemaVersion));
+    }
+    schema(*this, root, req);
+    if (ok()) return req;
+    fault_->id = std::move(req.id);
+    return std::move(*fault_);
+  }
+
+  /// The member `path` names; null when absent or once a rejection sticks.
+  [[nodiscard]] const json::Value* find(const json::Object& obj,
+                                        std::string_view path) const {
+    return ok() ? obj.find(path.substr(path.rfind('.') + 1)) : nullptr;
+  }
+
+  // Typed reads. An absent field is fine unless `required`; one that fails
+  // its check leaves `dst` as it was.
+  void boolean(const json::Object& obj, std::string_view path, bool& dst) {
+    const json::Value* v = find(obj, path);
+    if (v != nullptr && !v->is_bool()) expected(path, "a boolean");
+    if (v != nullptr && v->is_bool()) dst = v->as_bool();
+  }
+
+  void number(const json::Object& obj, std::string_view path, Sign sign,
+              double& dst, bool required = false) {
+    const json::Value* v = find(obj, path);
+    if (v != nullptr && v->is_number() &&
+        (sign != Sign::Positive || v->as_number() > 0) &&
+        (sign != Sign::NonNegative || v->as_number() >= 0)) {
+      dst = v->as_number();
+    } else if (v != nullptr || required) {
+      expected(path,
+               sign == Sign::Positive      ? "a positive number"
+               : sign == Sign::NonNegative ? "a non-negative number"
+                                           : "a number",
+               required);
+    }
+  }
+
+  /// An integer in [lo, hi]. A bounded field names its range; an unbounded
+  /// one (an id, a size) is a non-negative or positive integer.
+  void integer(const json::Object& obj, std::string_view path,
+               std::uint32_t lo, std::uint32_t hi, std::uint32_t& dst,
+               bool required = false) {
+    const json::Value* v = find(obj, path);
+    if (const std::optional<std::uint32_t> n = read_uint(v, lo, hi)) {
+      dst = *n;
+    } else if (v != nullptr || required) {
+      expected(path,
+               hi != kAnyUint ? strformat("an integer in [%u, %u]", lo, hi)
+               : lo == 0      ? "a non-negative integer"
+                              : "a positive integer",
+               required);
+    }
+  }
+
+  [[nodiscard]] const json::Object* object(const json::Object& obj,
+                                           std::string_view path) {
+    const json::Value* v = find(obj, path);
+    if (v != nullptr && !v->is_object()) expected(path, "an object");
+    return v != nullptr && v->is_object() ? &v->as_object() : nullptr;
+  }
+
+  /// A required zoo key; a string that names no zoo model is unknown_model.
+  [[nodiscard]] std::optional<ZooModel> zoo_key(const json::Object& obj,
+                                                std::string_view path) {
+    const json::Value* v = find(obj, path);
+    if (v == nullptr || !v->is_string()) {
+      expected(path, "a string zoo key", true);
+      return std::nullopt;
+    }
+    const std::optional<ZooModel> zoo = zoo_model_by_key(v->as_string());
+    if (!zoo) {
+      std::vector<std::string_view> known;
+      for (const ZooInfo& info : zoo_catalog()) known.push_back(info.key);
+      fail(ErrorCode::UnknownModel,
+           strformat("unknown model '%s' (known: %s)",
+                     v->as_string().c_str(), join(known).c_str()));
+    }
+    return zoo;
+  }
+
+  /// Rejects the first member of `obj` that `keys` does not name, as
+  /// unknown_field "<prefix><key>: unknown field<tail>".
+  void known_keys(const json::Object& obj,
+                  std::span<const std::string_view> keys,
+                  std::string_view prefix = {}, std::string_view tail = {}) {
+    if (!ok()) return;
+    for (const json::Object::Member& m : obj.members()) {
+      if (std::find(keys.begin(), keys.end(), m.key) == keys.end()) {
+        return fail(ErrorCode::UnknownField, std::string(prefix)
+                                                 .append(m.key)
+                                                 .append(": unknown field")
+                                                 .append(tail));
+      }
+    }
+  }
+
+ private:
+  std::optional<WireError> fault_;
+};
+
+/// The "options" object, declared by the PlanOptionSpec table: a member is
+/// found by json_key (not the CLI spelling) and typed by its row, and a Bool
+/// or Double value reaches the row spelled as its JSON literal.
+void read_options(Reader& r, const json::Object& root, PlanOptions& out) {
+  using Kind = PlanOptionSpec::Kind;
+  const json::Object* obj = r.object(root, "options");
+  if (obj == nullptr) return;
+  const std::span<const PlanOptionSpec> specs = plan_option_specs();
+  for (const json::Object::Member& m : obj->members()) {
+    const auto spec = std::find_if(
+        specs.begin(), specs.end(),
+        [&m](const PlanOptionSpec& s) { return m.key == s.json_key; });
+    if (spec == specs.end()) {
+      return r.fail(ErrorCode::UnknownField,
+                    "options." + m.key + ": unknown option");
+    }
+    if (spec->kind == Kind::Bool && !m.value.is_bool()) {
+      return r.expected("options." + m.key, "a boolean");
+    }
+    if (spec->kind == Kind::Double && !m.value.is_number()) {
+      return r.expected("options." + m.key, "a number");
+    }
+    if (spec->kind == Kind::Enum && !m.value.is_string()) {
+      return r.expected("options." + m.key,
+                        "one of " + std::string(spec->values));
+    }
+    const std::string spelled =
+        m.value.is_string() ? m.value.as_string() : json::dump(m.value);
+    if (std::optional<std::string> err = spec->set(out, spelled)) {
+      return r.fail(ErrorCode::BadField, "options." + m.key + ": " + *err);
+    }
+  }
+}
+
+/// One "emit" flag: its key and the request member it sets.
+struct EmitFlag {
+  std::string_view key;
+  bool* dst;
+};
+
+/// The "emit" object: boolean flags, each schema taking its own subset.
+/// Each member is checked for its key, then for its type.
+void read_emit(Reader& r, const json::Object& root,
+               std::initializer_list<EmitFlag> flags) {
+  const json::Object* emit = r.object(root, "emit");
+  if (emit == nullptr) return;
+  for (const json::Object::Member& m : emit->members()) {
+    const auto flag =
+        std::find_if(flags.begin(), flags.end(),
+                     [&m](const EmitFlag& f) { return f.key == m.key; });
+    if (flag == flags.end()) {
+      std::vector<std::string_view> keys;
+      for (const EmitFlag& f : flags) keys.push_back(f.key);
+      return r.fail(ErrorCode::UnknownField, "emit." + m.key +
+                                                 ": unknown field (valid: " +
+                                                 join(keys) + ")");
+    }
+    r.boolean(*emit, "emit." + m.key, *flag->dst);
+  }
+}
+
+/// The "links" topology (protocol.h). Its keys depend on its shape, so the
+/// shape is read first, then the shape's known keys, then the values;
+/// Interconnect's own validation is bad_field. True when `out` was set.
+bool read_links(Reader& r, const json::Object& root,
+                std::optional<Interconnect>& out) {
+  static constexpr std::string_view kUniform[] = {"shape", "bw_gbps"};
+  static constexpr std::string_view kMixed[] = {"shape", "bw_gbps",
+                                                "overrides"};
+  static constexpr std::string_view kHierarchical[] = {
+      "shape",       "group_size", "intra_gbps",
+      "uplink_gbps", "host_gbps",  "hop_latency_us"};
+  static constexpr std::string_view kOverride[] = {"acc", "bw_gbps"};
+  const json::Object* links = r.object(root, "links");
+  if (links == nullptr) return false;
+  const json::Value* shape = r.find(*links, "links.shape");
+  if (shape == nullptr || !shape->is_string()) {
+    r.expected("links.shape", R"("uniform", "mixed", or "hierarchical")",
+               true);
+    return false;
+  }
+  const std::string& kind = shape->as_string();
+  std::span<const std::string_view> keys;
+  if (kind == "uniform") {
+    keys = kUniform;
+  } else if (kind == "mixed") {
+    keys = kMixed;
+  } else if (kind == "hierarchical") {
+    keys = kHierarchical;
+  } else {
+    r.fail(ErrorCode::BadField,
+           strformat("links.shape: unknown shape '%s'", kind.c_str()));
+    return false;
+  }
+  r.known_keys(*links, keys, "links.", " for shape " + kind);
+
+  // Numbers in GB/s (or us); a missing required one is named as such. A key
+  // of another shape was rejected above, so its read here is a no-op.
+  const auto number = [&r, links](std::string_view path, bool required) {
+    double v = 0;
+    if (required && r.find(*links, path) == nullptr) {
+      r.fail(ErrorCode::BadField,
+             std::string(path) + ": required for this shape");
+    }
+    r.number(*links, path, Sign::Any, v);
+    return v;
+  };
+  const bool hier = kind == "hierarchical";
+  const double bw = gbps(number("links.bw_gbps", !hier));
+  Interconnect::HierarchicalSpec spec;
+  r.integer(*links, "links.group_size", 1, kAnyUint, spec.group_size, hier);
+  spec.intra_bw = gbps(number("links.intra_gbps", hier));
+  spec.uplink_bw = gbps(number("links.uplink_gbps", hier));
+  const double host = number("links.host_gbps", false);
+  spec.host_bw = host == 0 ? 0 : gbps(host);
+  spec.hop_latency_s = number("links.hop_latency_us", false) * 1e-6;
+  std::vector<Interconnect::Override> overrides;
+  const json::Value* list = r.find(*links, "links.overrides");
+  if (list != nullptr && !list->is_array()) {
+    r.expected("links.overrides", "an array");
+  } else if (list != nullptr) {
+    for (const json::Value& entry : list->as_array()) {
+      if (!entry.is_object()) {
+        r.expected("links.overrides", "objects with acc, bw_gbps");
+        break;
+      }
+      const json::Object& e = entry.as_object();
+      r.known_keys(e, kOverride, "links.overrides.");
+      std::uint32_t acc = 0;
+      double acc_bw = 0;
+      r.integer(e, "links.overrides.acc", 0, kAnyUint, acc, true);
+      r.number(e, "links.overrides.bw_gbps", Sign::Any, acc_bw, true);
+      if (!r.ok()) break;
+      overrides.emplace_back(acc, gbps(acc_bw));
+    }
+  }
+  if (!r.ok()) return false;
+  try {
+    out = hier                ? Interconnect::hierarchical(spec)
+          : kind == "uniform" ? Interconnect::uniform(bw)
+                              : Interconnect::mixed(bw, std::move(overrides));
+  } catch (const ConfigError& e) {
+    r.fail(ErrorCode::BadField, strformat("links: %s", e.what()));
+  }
+  return out.has_value();
+}
+
+/// The session key plan and repair requests share (model, bw_gbps or links
+/// but never both, batch) and their plan options, spelled identically.
+template <typename Request>
+void read_session(Reader& r, const json::Object& root, Request& req) {
+  req.model = r.zoo_key(root, "model").value_or(req.model);
+  if (r.find(root, "bw_gbps") != nullptr && root.find("links") != nullptr) {
+    r.fail(ErrorCode::BadField,
+           "bw_gbps: conflicts with links (the topology's base bandwidth is "
+           "the scalar view; send one or the other)");
+  }
+  r.number(root, "bw_gbps", Sign::Positive, req.bw_gbps);
+  if (read_links(r, root, req.links)) req.bw_gbps = req.links->base_bw() / 1e9;
+  r.integer(root, "batch", 1, kMaxBatch, req.batch);
+  read_options(r, root, req.options);
+}
+
+/// The single-model plan schema.
+void read_plan(Reader& r, const json::Object& root, WireRequest& req) {
+  static constexpr std::string_view kKeys[] = {
+      "schema_version", "id",      "model", "bw_gbps", "links",
+      "batch",          "options", "emit"};
+  read_session(r, root, req);
+  read_emit(r, root,
+            {{"mapping", &req.emit_mapping},
+             {"steps", &req.emit_steps},
+             {"timing", &req.emit_timing}});
+  r.known_keys(root, kKeys);
+}
+
+/// The "tenants" array. The name rules (no '/', unique) and the caps spec
+/// stay hand-written; the other entry fields are declared reads.
+void read_tenants(Reader& r, const json::Object& root,
+                  std::vector<TenantRequest>& out) {
+  static constexpr std::string_view kKeys[] = {"name", "model", "slo_s",
+                                               "priority", "caps"};
+  const json::Value* list = r.find(root, "tenants");
+  if (list == nullptr || !list->is_array() || list->as_array().empty()) {
+    return r.expected("tenants", "a non-empty array", true);
+  }
+  if (list->as_array().size() > kMaxTenants) {
+    return r.expected("tenants", strformat("at most %u tenants", kMaxTenants));
+  }
+  for (const json::Value& entry : list->as_array()) {
+    if (!entry.is_object()) {
+      return r.expected("tenants", "objects with name, model");
+    }
+    const json::Object& t = entry.as_object();
+    r.known_keys(t, kKeys, "tenants.");
+    const json::Value* name = r.find(t, "tenants.name");
+    if (name == nullptr || !name->is_string() || name->as_string().empty() ||
+        name->as_string().find('/') != std::string::npos) {
+      return r.expected("tenants.name", "a non-empty string without '/'",
+                        true);
+    }
+    for (const TenantRequest& seen : out) {
+      if (seen.name != name->as_string()) continue;
+      return r.fail(ErrorCode::BadField,
+                    strformat("tenants.name: duplicate tenant name '%s'",
+                              seen.name.c_str()));
+    }
+    TenantRequest& tenant = out.emplace_back();
+    tenant.name = name->as_string();
+    tenant.model = r.zoo_key(t, "tenants.model");
+    r.number(t, "tenants.slo_s", Sign::Positive, tenant.slo_s);
+    r.integer(t, "tenants.priority", 1, 1000000, tenant.priority);
+    if (const json::Value* caps = r.find(t, "tenants.caps")) {
+      if (!caps->is_string()) {
+        return r.expected("tenants.caps", "a capability-spec string");
+      }
+      try {
+        tenant.required_caps = parse_caps_spec(caps->as_string());
+      } catch (const ConfigError& e) {
+        return r.fail(ErrorCode::BadField,
+                      strformat("tenants.caps: %s", e.what()));
+      }
+    }
+  }
+}
+
+/// The multi-tenant schema (root "tenants" array; protocol.h).
+void read_comap(Reader& r, const json::Object& root, WireTenantsRequest& req) {
+  static constexpr std::string_view kKeys[] = {
+      "schema_version", "id",          "tenants",      "bw_gbps", "options",
+      "max_rounds",     "steal_round", "require_slos", "emit"};
+  read_tenants(r, root, req.tenants);
+  r.number(root, "bw_gbps", Sign::Positive, req.bw_gbps);
+  read_options(r, root, req.options);
+  r.integer(root, "max_rounds", 0, kMaxRounds, req.max_rounds);
+  r.boolean(root, "steal_round", req.steal_round);
+  r.boolean(root, "require_slos", req.require_slos);
+  read_emit(r, root, {{"mapping", &req.emit_mapping}});
+  r.known_keys(root, kKeys);
+}
+
+/// The "repair" event object. Whether "scale" is required or refused
+/// depends on the event kind, so that rule stays hand-written.
+void read_fault(Reader& r, const json::Object& root, FaultEvent& event) {
+  static constexpr std::string_view kKeys[] = {"event", "acc", "scale"};
+  const json::Object* ev = r.object(root, "repair");
+  if (ev == nullptr) return;
+  r.known_keys(*ev, kKeys, "repair.", " (valid: " + join(kKeys) + ")");
+  const json::Value* kind = r.find(*ev, "repair.event");
+  if (kind == nullptr || !kind->is_string()) {
+    return r.expected("repair.event", "a string fault kind", true);
+  }
+  const std::optional<FaultKind> parsed = parse_fault_kind(kind->as_string());
+  if (!parsed) {
+    return r.fail(ErrorCode::BadField,
+                  strformat("repair.event: unknown fault kind '%s' (valid: "
+                            "acc_lost, acc_returned, link_degraded, "
+                            "link_restored, spec_derated)",
+                            kind->as_string().c_str()));
+  }
+  event.kind = *parsed;
+  r.integer(*ev, "repair.acc", 0, kAnyUint, event.acc.value, true);
+  const std::string name(to_string(event.kind));
+  const json::Value* scale = r.find(*ev, "repair.scale");
+  if (event.has_scale() && scale != nullptr && scale->is_number() &&
+      scale->as_number() > 0 && scale->as_number() <= 1) {
+    event.scale = scale->as_number();
+  } else if (event.has_scale()) {
+    r.expected("repair.scale", "a number in (0, 1] (required for " + name +
+                                   ")");
+  } else if (scale != nullptr) {
+    r.fail(ErrorCode::BadField, "repair.scale: not allowed for " + name);
+  }
+}
+
+/// The live-repair schema (root "repair" object; protocol.h): the event,
+/// then the same session key a plan request names.
+void read_repair(Reader& r, const json::Object& root, WireRepairRequest& req) {
+  static constexpr std::string_view kKeys[] = {
+      "schema_version", "id",    "repair",  "model",          "bw_gbps",
+      "links",          "batch", "options", "fallback_ratio", "emit"};
+  read_fault(r, root, req.event);
+  read_session(r, root, req);
+  r.number(root, "fallback_ratio", Sign::NonNegative, req.fallback_ratio);
+  read_emit(r, root,
+            {{"mapping", &req.emit_mapping}, {"timing", &req.emit_timing}});
+  r.known_keys(root, kKeys);
 }
 
 /// Canonical JSON spelling of a topology (the response echo).
 [[nodiscard]] json::Value links_json(const Interconnect& links) {
   json::Object o;
   o.set("shape", std::string(to_string(links.shape())));
-  switch (links.shape()) {
-    case LinkShape::Uniform:
-      o.set("bw_gbps", links.base_bw() / 1e9);
-      break;
-    case LinkShape::Mixed: {
-      o.set("bw_gbps", links.base_bw() / 1e9);
-      json::Array overrides;
-      for (const Interconnect::Override& ov : links.overrides()) {
-        json::Object e;
-        e.set("acc", ov.first);
-        e.set("bw_gbps", ov.second / 1e9);
-        overrides.push_back(json::Value(std::move(e)));
-      }
-      o.set("overrides", std::move(overrides));
-      break;
+  if (links.shape() == LinkShape::Hierarchical) {
+    const Interconnect::HierarchicalSpec& h = links.hier();
+    o.set("group_size", h.group_size);
+    o.set("intra_gbps", h.intra_bw / 1e9);
+    o.set("uplink_gbps", h.uplink_bw / 1e9);
+    o.set("host_gbps", h.host_bw / 1e9);
+    o.set("hop_latency_us", h.hop_latency_s * 1e6);
+    return json::Value(std::move(o));
+  }
+  o.set("bw_gbps", links.base_bw() / 1e9);
+  if (links.shape() == LinkShape::Mixed) {
+    json::Array overrides;
+    for (const Interconnect::Override& ov : links.overrides()) {
+      json::Object e;
+      e.set("acc", ov.first);
+      e.set("bw_gbps", ov.second / 1e9);
+      overrides.push_back(json::Value(std::move(e)));
     }
-    case LinkShape::Hierarchical: {
-      const Interconnect::HierarchicalSpec& h = links.hier();
-      o.set("group_size", h.group_size);
-      o.set("intra_gbps", h.intra_bw / 1e9);
-      o.set("uplink_gbps", h.uplink_bw / 1e9);
-      o.set("host_gbps", h.host_bw / 1e9);
-      o.set("hop_latency_us", h.hop_latency_s * 1e6);
-      break;
-    }
+    o.set("overrides", std::move(overrides));
   }
   return json::Value(std::move(o));
 }
 
-/// Strict "options" object parse into `out`, shared by both request
-/// schemas. An empty `error` means success.
-struct OptionsParse {
-  ErrorCode code = ErrorCode::BadField;
-  std::string error;
-};
-
-[[nodiscard]] OptionsParse parse_options_object(const json::Object& obj,
-                                                PlanOptions& out) {
-  for (const json::Object::Member& m : obj.members()) {
-    // The wire spelling is the table's json_key, exactly — the kebab-case
-    // CLI spelling is rejected here so the schema has one name per knob.
-    const PlanOptionSpec* spec = nullptr;
-    for (const PlanOptionSpec& s : plan_option_specs()) {
-      if (m.key == s.json_key) {
-        spec = &s;
-        break;
-      }
-    }
-    if (spec == nullptr) {
-      return {ErrorCode::UnknownField,
-              strformat("options.%s: unknown option", m.key.c_str())};
-    }
-    std::string spelled;
-    switch (spec->kind) {
-      case PlanOptionSpec::Kind::Bool:
-        if (!m.value.is_bool()) {
-          return {ErrorCode::BadField,
-                  strformat("options.%s: expected a boolean", m.key.c_str())};
-        }
-        spelled = m.value.as_bool() ? "true" : "false";
-        break;
-      case PlanOptionSpec::Kind::Double: {
-        if (!m.value.is_number()) {
-          return {ErrorCode::BadField,
-                  strformat("options.%s: expected a number", m.key.c_str())};
-        }
-        char buf[32];
-        const auto [end, ec] =
-            std::to_chars(buf, buf + sizeof(buf), m.value.as_number());
-        H2H_ASSERT(ec == std::errc());
-        spelled.assign(buf, end);
-        break;
-      }
-      case PlanOptionSpec::Kind::Enum:
-        if (!m.value.is_string()) {
-          return {ErrorCode::BadField,
-                  strformat("options.%s: expected one of %.*s", m.key.c_str(),
-                            static_cast<int>(spec->values.size()),
-                            spec->values.data())};
-        }
-        spelled = m.value.as_string();
-        break;
-    }
-    if (std::optional<std::string> err = spec->set(out, spelled)) {
-      return {ErrorCode::BadField,
-              strformat("options.%s: %s", m.key.c_str(), err->c_str())};
-    }
-  }
-  return {};
-}
-
 /// The canonical "options" echo: every knob at its effective value,
-/// defaults included, unset optionals omitted.
+/// defaults included, unset optionals omitted. The inverse of read_options:
+/// an Enum spelling is a JSON string, a Bool or Double one a JSON literal.
 [[nodiscard]] json::Object options_json(const PlanOptions& options) {
   json::Object out;
   for (const PlanOptionSpec& spec : plan_option_specs()) {
-    json::Value v = option_value(spec, options);
-    if (v.is_null()) continue;  // unset optional (time_budget_s)
-    out.set(std::string(spec.json_key), std::move(v));
+    std::string v = spec.get(options);
+    if (v.empty()) continue;  // unset optional (time_budget_s)
+    std::optional<json::Value> value =
+        spec.kind == PlanOptionSpec::Kind::Enum
+            ? std::optional<json::Value>(std::move(v))
+            : json::parse(v).value;
+    H2H_ASSERT(value.has_value());
+    out.set(std::string(spec.json_key), std::move(*value));
   }
   return out;
 }
@@ -346,527 +562,56 @@ struct OptionsParse {
   return json::Value(std::move(out));
 }
 
-/// Shared head of both schemas: "id" then "schema_version", every later
-/// error echoing the id. Returns nullopt on success.
-template <typename Fail>
-[[nodiscard]] std::optional<WireError> parse_head(const json::Object& root,
-                                                  std::string& id,
-                                                  const Fail& fail) {
-  if (const json::Value* v = root.find("id")) {
-    if (!v->is_string()) {
-      return WireError{ErrorCode::BadField, "id: expected a string", {}};
-    }
-    id = v->as_string();
-  }
-  const json::Value* version = root.find("schema_version");
-  if (version == nullptr) {
-    return fail(ErrorCode::SchemaVersion,
-                strformat("missing schema_version (this server speaks %d)",
-                          kSchemaVersion));
-  }
-  if (!version->is_number() ||
-      version->as_number() != static_cast<double>(kSchemaVersion)) {
-    return fail(ErrorCode::SchemaVersion,
-                strformat("unsupported schema_version (this server speaks %d)",
-                          kSchemaVersion));
-  }
-  return std::nullopt;
+/// The head of every response line: schema_version, id (when sent), ok.
+[[nodiscard]] json::Object response_head(const std::string& id, bool ok) {
+  json::Object root;
+  root.set("schema_version", kSchemaVersion);
+  if (!id.empty()) root.set("id", id);
+  root.set("ok", ok);
+  return root;
 }
 
-/// The single-model request schema (everything after the line-level JSON
-/// checks, which the public entry points share).
-[[nodiscard]] std::variant<WireRequest, WireError> parse_single(
-    const json::Object& root) {
-  WireRequest req;
-  const auto fail = [&req](ErrorCode code, std::string message) {
-    return WireError{code, std::move(message), req.id};
-  };
-  if (std::optional<WireError> err = parse_head(root, req.id, fail)) {
-    return *err;
-  }
-
-  const json::Value* model = root.find("model");
-  if (model == nullptr || !model->is_string()) {
-    return fail(ErrorCode::BadField,
-                "model: expected a string zoo key (required)");
-  }
-  const std::optional<ZooModel> zoo = zoo_model_by_key(model->as_string());
-  if (!zoo) {
-    return fail(ErrorCode::UnknownModel,
-                strformat("unknown model '%s' (known: %s)",
-                          model->as_string().c_str(),
-                          known_zoo_keys().c_str()));
-  }
-  req.model = *zoo;
-
-  if (const json::Value* bw = root.find("bw_gbps")) {
-    if (root.find("links") != nullptr) {
-      return fail(ErrorCode::BadField,
-                  "bw_gbps: conflicts with links (the topology's base "
-                  "bandwidth is the scalar view; send one or the other)");
-    }
-    if (!bw->is_number() || !(bw->as_number() > 0)) {
-      return fail(ErrorCode::BadField, "bw_gbps: expected a positive number");
-    }
-    req.bw_gbps = bw->as_number();
-  }
-
-  if (const json::Value* links = root.find("links")) {
-    if (!links->is_object()) {
-      return fail(ErrorCode::BadField, "links: expected an object");
-    }
-    LinksParse parsed_links = parse_links_object(links->as_object());
-    if (!parsed_links.links) {
-      return fail(parsed_links.code, std::move(parsed_links.error));
-    }
-    req.links = std::move(parsed_links.links);
-    req.bw_gbps = req.links->base_bw() / 1e9;
-  }
-
-  if (const json::Value* batch = root.find("batch")) {
-    const std::optional<std::uint32_t> b = read_uint(batch, 1, kMaxBatch);
-    if (!b) {
-      return fail(ErrorCode::BadField,
-                  strformat("batch: expected an integer in [1, %u]",
-                            kMaxBatch));
-    }
-    req.batch = *b;
-  }
-
-  if (const json::Value* options = root.find("options")) {
-    if (!options->is_object()) {
-      return fail(ErrorCode::BadField, "options: expected an object");
-    }
-    OptionsParse op = parse_options_object(options->as_object(), req.options);
-    if (!op.error.empty()) return fail(op.code, std::move(op.error));
-  }
-
-  if (const json::Value* emit = root.find("emit")) {
-    if (!emit->is_object()) {
-      return fail(ErrorCode::BadField, "emit: expected an object");
-    }
-    for (const json::Object::Member& m : emit->as_object().members()) {
-      bool* target = nullptr;
-      if (m.key == "mapping") {
-        target = &req.emit_mapping;
-      } else if (m.key == "steps") {
-        target = &req.emit_steps;
-      } else if (m.key == "timing") {
-        target = &req.emit_timing;
-      } else {
-        return fail(ErrorCode::UnknownField,
-                    strformat("emit.%s: unknown field (valid: mapping, "
-                              "steps, timing)",
-                              m.key.c_str()));
-      }
-      if (!m.value.is_bool()) {
-        return fail(ErrorCode::BadField,
-                    strformat("emit.%s: expected a boolean", m.key.c_str()));
-      }
-      *target = m.value.as_bool();
-    }
-  }
-
-  for (const json::Object::Member& m : root.members()) {
-    if (m.key != "schema_version" && m.key != "id" && m.key != "model" &&
-        m.key != "bw_gbps" && m.key != "links" && m.key != "batch" &&
-        m.key != "options" && m.key != "emit") {
-      return fail(ErrorCode::UnknownField,
-                  strformat("%s: unknown field", m.key.c_str()));
-    }
-  }
-  return req;
-}
-
-/// The multi-tenant request schema (root "tenants" array; protocol.h).
-[[nodiscard]] std::variant<WireTenantsRequest, WireError> parse_tenants(
-    const json::Object& root) {
-  WireTenantsRequest req;
-  const auto fail = [&req](ErrorCode code, std::string message) {
-    return WireError{code, std::move(message), req.id};
-  };
-  if (std::optional<WireError> err = parse_head(root, req.id, fail)) {
-    return *err;
-  }
-
-  const json::Value* tenants = root.find("tenants");
-  if (tenants == nullptr || !tenants->is_array() ||
-      tenants->as_array().empty()) {
-    return fail(ErrorCode::BadField,
-                "tenants: expected a non-empty array (required)");
-  }
-  for (const json::Value& entry : tenants->as_array()) {
-    if (!entry.is_object()) {
-      return fail(ErrorCode::BadField,
-                  "tenants: expected objects with name, model");
-    }
-    const json::Object& t = entry.as_object();
-    for (const json::Object::Member& m : t.members()) {
-      if (m.key != "name" && m.key != "model" && m.key != "slo_s" &&
-          m.key != "priority" && m.key != "caps") {
-        return fail(ErrorCode::UnknownField,
-                    strformat("tenants.%s: unknown field", m.key.c_str()));
-      }
-    }
-    TenantRequest tenant;
-    const json::Value* name = t.find("name");
-    if (name == nullptr || !name->is_string() || name->as_string().empty() ||
-        name->as_string().find('/') != std::string::npos) {
-      return fail(ErrorCode::BadField,
-                  "tenants.name: expected a non-empty string without '/' "
-                  "(required)");
-    }
-    tenant.name = name->as_string();
-    for (const TenantRequest& seen : req.tenants) {
-      if (seen.name == tenant.name) {
-        return fail(ErrorCode::BadField,
-                    strformat("tenants.name: duplicate tenant name '%s'",
-                              tenant.name.c_str()));
-      }
-    }
-    const json::Value* model = t.find("model");
-    if (model == nullptr || !model->is_string()) {
-      return fail(ErrorCode::BadField,
-                  "tenants.model: expected a string zoo key (required)");
-    }
-    const std::optional<ZooModel> zoo = zoo_model_by_key(model->as_string());
-    if (!zoo) {
-      return fail(ErrorCode::UnknownModel,
-                  strformat("unknown model '%s' (known: %s)",
-                            model->as_string().c_str(),
-                            known_zoo_keys().c_str()));
-    }
-    tenant.model = *zoo;
-    if (const json::Value* slo = t.find("slo_s")) {
-      if (!slo->is_number() || !(slo->as_number() > 0)) {
-        return fail(ErrorCode::BadField,
-                    "tenants.slo_s: expected a positive number");
-      }
-      tenant.slo_s = slo->as_number();
-    }
-    if (const json::Value* prio = t.find("priority")) {
-      const std::optional<std::uint32_t> p = read_uint(prio, 1, 1000000);
-      if (!p) {
-        return fail(ErrorCode::BadField,
-                    "tenants.priority: expected an integer in [1, 1000000]");
-      }
-      tenant.priority = *p;
-    }
-    if (const json::Value* caps = t.find("caps")) {
-      if (!caps->is_string()) {
-        return fail(ErrorCode::BadField,
-                    "tenants.caps: expected a capability-spec string");
-      }
-      try {
-        tenant.required_caps = parse_caps_spec(caps->as_string());
-      } catch (const ConfigError& e) {
-        return fail(ErrorCode::BadField,
-                    strformat("tenants.caps: %s", e.what()));
-      }
-    }
-    req.tenants.push_back(std::move(tenant));
-  }
-
-  if (const json::Value* bw = root.find("bw_gbps")) {
-    if (!bw->is_number() || !(bw->as_number() > 0)) {
-      return fail(ErrorCode::BadField, "bw_gbps: expected a positive number");
-    }
-    req.bw_gbps = bw->as_number();
-  }
-
-  if (const json::Value* options = root.find("options")) {
-    if (!options->is_object()) {
-      return fail(ErrorCode::BadField, "options: expected an object");
-    }
-    OptionsParse op = parse_options_object(options->as_object(), req.options);
-    if (!op.error.empty()) return fail(op.code, std::move(op.error));
-  }
-
-  if (const json::Value* rounds = root.find("max_rounds")) {
-    const std::optional<std::uint32_t> r = read_uint(rounds, 0, kMaxRounds);
-    if (!r) {
-      return fail(ErrorCode::BadField,
-                  strformat("max_rounds: expected an integer in [0, %u]",
-                            kMaxRounds));
-    }
-    req.max_rounds = *r;
-  }
-  if (const json::Value* v = root.find("steal_round")) {
-    if (!v->is_bool()) {
-      return fail(ErrorCode::BadField, "steal_round: expected a boolean");
-    }
-    req.steal_round = v->as_bool();
-  }
-  if (const json::Value* v = root.find("require_slos")) {
-    if (!v->is_bool()) {
-      return fail(ErrorCode::BadField, "require_slos: expected a boolean");
-    }
-    req.require_slos = v->as_bool();
-  }
-
-  if (const json::Value* emit = root.find("emit")) {
-    if (!emit->is_object()) {
-      return fail(ErrorCode::BadField, "emit: expected an object");
-    }
-    for (const json::Object::Member& m : emit->as_object().members()) {
-      if (m.key != "mapping") {
-        return fail(ErrorCode::UnknownField,
-                    strformat("emit.%s: unknown field (valid: mapping)",
-                              m.key.c_str()));
-      }
-      if (!m.value.is_bool()) {
-        return fail(ErrorCode::BadField,
-                    strformat("emit.%s: expected a boolean", m.key.c_str()));
-      }
-      req.emit_mapping = m.value.as_bool();
-    }
-  }
-
-  for (const json::Object::Member& m : root.members()) {
-    if (m.key != "schema_version" && m.key != "id" && m.key != "tenants" &&
-        m.key != "bw_gbps" && m.key != "options" && m.key != "max_rounds" &&
-        m.key != "steal_round" && m.key != "require_slos" &&
-        m.key != "emit") {
-      return fail(ErrorCode::UnknownField,
-                  strformat("%s: unknown field", m.key.c_str()));
-    }
-  }
-  return req;
-}
-
-/// The live-repair request schema (root "repair" object; protocol.h).
-/// Shares the single-model session-key fields (model/bw_gbps/links/batch)
-/// and options/emit with parse_single, spelled identically.
-[[nodiscard]] std::variant<WireRepairRequest, WireError> parse_repair(
-    const json::Object& root) {
-  WireRepairRequest req;
-  const auto fail = [&req](ErrorCode code, std::string message) {
-    return WireError{code, std::move(message), req.id};
-  };
-  if (std::optional<WireError> err = parse_head(root, req.id, fail)) {
-    return *err;
-  }
-
-  const json::Value* repair = root.find("repair");
-  H2H_ASSERT(repair != nullptr);  // parse_any_request dispatched on it
-  if (!repair->is_object()) {
-    return fail(ErrorCode::BadField, "repair: expected an object");
-  }
-  const json::Object& ev = repair->as_object();
-  for (const json::Object::Member& m : ev.members()) {
-    if (m.key != "event" && m.key != "acc" && m.key != "scale") {
-      return fail(ErrorCode::UnknownField,
-                  strformat("repair.%s: unknown field (valid: event, acc, "
-                            "scale)",
-                            m.key.c_str()));
-    }
-  }
-  const json::Value* kind = ev.find("event");
-  if (kind == nullptr || !kind->is_string()) {
-    return fail(ErrorCode::BadField,
-                "repair.event: expected a string fault kind (required)");
-  }
-  const std::optional<FaultKind> parsed_kind =
-      parse_fault_kind(kind->as_string());
-  if (!parsed_kind) {
-    return fail(ErrorCode::BadField,
-                strformat("repair.event: unknown fault kind '%s' (valid: "
-                          "acc_lost, acc_returned, link_degraded, "
-                          "link_restored, spec_derated)",
-                          kind->as_string().c_str()));
-  }
-  req.event.kind = *parsed_kind;
-  const std::optional<std::uint32_t> acc = read_uint(ev.find("acc"), 0);
-  if (!acc) {
-    return fail(ErrorCode::BadField,
-                "repair.acc: expected a non-negative integer (required)");
-  }
-  req.event.acc = AccId{*acc};
-  const json::Value* scale = ev.find("scale");
-  if (req.event.has_scale()) {
-    if (scale == nullptr || !scale->is_number() ||
-        !(scale->as_number() > 0) || scale->as_number() > 1) {
-      return fail(ErrorCode::BadField,
-                  strformat("repair.scale: expected a number in (0, 1] "
-                            "(required for %.*s)",
-                            static_cast<int>(to_string(req.event.kind).size()),
-                            to_string(req.event.kind).data()));
-    }
-    req.event.scale = scale->as_number();
-  } else if (scale != nullptr) {
-    return fail(ErrorCode::BadField,
-                strformat("repair.scale: not allowed for %.*s",
-                          static_cast<int>(to_string(req.event.kind).size()),
-                          to_string(req.event.kind).data()));
-  }
-
-  const json::Value* model = root.find("model");
-  if (model == nullptr || !model->is_string()) {
-    return fail(ErrorCode::BadField,
-                "model: expected a string zoo key (required)");
-  }
-  const std::optional<ZooModel> zoo = zoo_model_by_key(model->as_string());
-  if (!zoo) {
-    return fail(ErrorCode::UnknownModel,
-                strformat("unknown model '%s' (known: %s)",
-                          model->as_string().c_str(),
-                          known_zoo_keys().c_str()));
-  }
-  req.model = *zoo;
-
-  if (const json::Value* bw = root.find("bw_gbps")) {
-    if (root.find("links") != nullptr) {
-      return fail(ErrorCode::BadField,
-                  "bw_gbps: conflicts with links (the topology's base "
-                  "bandwidth is the scalar view; send one or the other)");
-    }
-    if (!bw->is_number() || !(bw->as_number() > 0)) {
-      return fail(ErrorCode::BadField, "bw_gbps: expected a positive number");
-    }
-    req.bw_gbps = bw->as_number();
-  }
-  if (const json::Value* links = root.find("links")) {
-    if (!links->is_object()) {
-      return fail(ErrorCode::BadField, "links: expected an object");
-    }
-    LinksParse parsed_links = parse_links_object(links->as_object());
-    if (!parsed_links.links) {
-      return fail(parsed_links.code, std::move(parsed_links.error));
-    }
-    req.links = std::move(parsed_links.links);
-    req.bw_gbps = req.links->base_bw() / 1e9;
-  }
-  if (const json::Value* batch = root.find("batch")) {
-    const std::optional<std::uint32_t> b = read_uint(batch, 1, kMaxBatch);
-    if (!b) {
-      return fail(ErrorCode::BadField,
-                  strformat("batch: expected an integer in [1, %u]",
-                            kMaxBatch));
-    }
-    req.batch = *b;
-  }
-  if (const json::Value* options = root.find("options")) {
-    if (!options->is_object()) {
-      return fail(ErrorCode::BadField, "options: expected an object");
-    }
-    OptionsParse op = parse_options_object(options->as_object(), req.options);
-    if (!op.error.empty()) return fail(op.code, std::move(op.error));
-  }
-  if (const json::Value* ratio = root.find("fallback_ratio")) {
-    if (!ratio->is_number() || ratio->as_number() < 0) {
-      return fail(ErrorCode::BadField,
-                  "fallback_ratio: expected a non-negative number");
-    }
-    req.fallback_ratio = ratio->as_number();
-  }
-  if (const json::Value* emit = root.find("emit")) {
-    if (!emit->is_object()) {
-      return fail(ErrorCode::BadField, "emit: expected an object");
-    }
-    for (const json::Object::Member& m : emit->as_object().members()) {
-      bool* target = nullptr;
-      if (m.key == "mapping") {
-        target = &req.emit_mapping;
-      } else if (m.key == "timing") {
-        target = &req.emit_timing;
-      } else {
-        return fail(ErrorCode::UnknownField,
-                    strformat("emit.%s: unknown field (valid: mapping, "
-                              "timing)",
-                              m.key.c_str()));
-      }
-      if (!m.value.is_bool()) {
-        return fail(ErrorCode::BadField,
-                    strformat("emit.%s: expected a boolean", m.key.c_str()));
-      }
-      *target = m.value.as_bool();
-    }
-  }
-
-  for (const json::Object::Member& m : root.members()) {
-    if (m.key != "schema_version" && m.key != "id" && m.key != "repair" &&
-        m.key != "model" && m.key != "bw_gbps" && m.key != "links" &&
-        m.key != "batch" && m.key != "options" &&
-        m.key != "fallback_ratio" && m.key != "emit") {
-      return fail(ErrorCode::UnknownField,
-                  strformat("%s: unknown field", m.key.c_str()));
-    }
-  }
-  return req;
+/// The session-key echo of plan and repair responses: "links" only for
+/// topology requests (scalar responses keep their pinned pre-topology
+/// bytes), and every knob at its canonical value, defaults included.
+template <typename Request>
+void echo_session(json::Object& root, const Request& request) {
+  root.set("model", zoo_info(request.model).key);
+  root.set("bw_gbps", request.bw_gbps);
+  if (request.links) root.set("links", links_json(*request.links));
+  root.set("batch", request.batch == 0 ? 1u : request.batch);
+  root.set("options", options_json(request.options));
 }
 
 }  // namespace
 
 std::string_view to_string(ErrorCode code) noexcept {
-  switch (code) {
-    case ErrorCode::ParseError:
-      return "parse_error";
-    case ErrorCode::SchemaVersion:
-      return "schema_version";
-    case ErrorCode::UnknownField:
-      return "unknown_field";
-    case ErrorCode::BadField:
-      return "bad_field";
-    case ErrorCode::UnknownModel:
-      return "unknown_model";
-    case ErrorCode::PlanFailed:
-      return "plan_failed";
-    case ErrorCode::InfeasibleCapability:
-      return "infeasible_capability";
-    case ErrorCode::SloViolated:
-      return "slo_violated";
-    case ErrorCode::UnknownAcc:
-      return "unknown_acc";
-    case ErrorCode::NoPriorPlan:
-      return "no_prior_plan";
-    case ErrorCode::InfeasibleRepair:
-      return "infeasible_repair";
-  }
-  return "unknown";
+  // Indexed by ErrorCode, in declaration order (protocol.h).
+  static constexpr std::string_view kNames[] = {
+      "parse_error",           "schema_version",    "unknown_field",
+      "bad_field",             "unknown_model",     "plan_failed",
+      "infeasible_capability", "slo_violated",      "unknown_acc",
+      "no_prior_plan",         "infeasible_repair"};
+  static_assert(std::size(kNames) ==
+                static_cast<std::size_t>(ErrorCode::InfeasibleRepair) + 1);
+  const auto index = static_cast<std::size_t>(code);
+  return index < std::size(kNames) ? kNames[index] : "unknown";
 }
 
-std::variant<WireRequest, WireError> parse_request(std::string_view line) {
+AnyRequest parse_any_request(std::string_view line) {
   const json::ParseResult parsed = json::parse(line);
-  if (!parsed.value) {
+  if (!parsed.value || !parsed.value->is_object()) {
     return WireError{ErrorCode::ParseError,
-                     strformat("byte %zu: %s", parsed.offset,
-                               parsed.error.c_str()),
-                     {}};
-  }
-  if (!parsed.value->is_object()) {
-    return WireError{ErrorCode::ParseError, "request must be a JSON object",
-                     {}};
-  }
-  return parse_single(parsed.value->as_object());
-}
-
-std::variant<WireRequest, WireTenantsRequest, WireRepairRequest, WireError>
-parse_any_request(std::string_view line) {
-  const json::ParseResult parsed = json::parse(line);
-  if (!parsed.value) {
-    return WireError{ErrorCode::ParseError,
-                     strformat("byte %zu: %s", parsed.offset,
-                               parsed.error.c_str()),
-                     {}};
-  }
-  if (!parsed.value->is_object()) {
-    return WireError{ErrorCode::ParseError, "request must be a JSON object",
+                     parsed.value ? "request must be a JSON object"
+                                  : strformat("byte %zu: %s", parsed.offset,
+                                              parsed.error.c_str()),
                      {}};
   }
   const json::Object& root = parsed.value->as_object();
-  if (root.find("tenants") != nullptr) {
-    std::variant<WireTenantsRequest, WireError> out = parse_tenants(root);
-    if (WireError* err = std::get_if<WireError>(&out)) return std::move(*err);
-    return std::move(std::get<WireTenantsRequest>(out));
-  }
-  if (root.find("repair") != nullptr) {
-    std::variant<WireRepairRequest, WireError> out = parse_repair(root);
-    if (WireError* err = std::get_if<WireError>(&out)) return std::move(*err);
-    return std::move(std::get<WireRepairRequest>(out));
-  }
-  std::variant<WireRequest, WireError> out = parse_single(root);
-  if (WireError* err = std::get_if<WireError>(&out)) return std::move(*err);
-  return std::move(std::get<WireRequest>(out));
+  Reader r;
+  if (root.find("tenants") != nullptr) return r.read(root, read_comap);
+  if (root.find("repair") != nullptr) return r.read(root, read_repair);
+  return r.read(root, read_plan);
 }
 
 PlanRequest to_plan_request(const WireRequest& request) {
@@ -880,20 +625,8 @@ PlanRequest to_plan_request(const WireRequest& request) {
 std::string write_response(const WireRequest& request,
                            const PlanResponse& response,
                            const ModelGraph& model, const SystemConfig& sys) {
-  json::Object root;
-  root.set("schema_version", kSchemaVersion);
-  if (!request.id.empty()) root.set("id", request.id);
-  root.set("ok", true);
-  root.set("model", zoo_info(request.model).key);
-  root.set("bw_gbps", request.bw_gbps);
-  // Canonical topology echo, only for links requests — scalar responses
-  // keep their exact pre-topology bytes (pinned by the CI fixtures).
-  if (request.links) root.set("links", links_json(*request.links));
-  root.set("batch", request.batch == 0 ? 1u : request.batch);
-
-  // Echo every knob at its canonical value so a response is a complete
-  // record of what was planned, defaults included.
-  root.set("options", options_json(request.options));
+  json::Object root = response_head(request.id, true);
+  echo_session(root, request);
 
   const ScheduleResult& fin = response.final_result();
   root.set("latency_s", fin.latency);
@@ -932,10 +665,7 @@ std::string write_tenants_response(const WireTenantsRequest& request,
                                    const CoMapResult& result,
                                    const SystemConfig& sys) {
   H2H_EXPECTS(result.tenants.size() == request.tenants.size());
-  json::Object root;
-  root.set("schema_version", kSchemaVersion);
-  if (!request.id.empty()) root.set("id", request.id);
-  root.set("ok", true);
+  json::Object root = response_head(request.id, true);
 
   // Canonical tenant echo merged with the per-tenant verdict, in request
   // (= union declaration) order. No-SLO tenants omit slo_s/slack_s rather
@@ -987,15 +717,8 @@ std::string write_repair_response(const WireRepairRequest& request,
                                   const SystemConfig& sys) {
   H2H_EXPECTS(result.outcome == RepairOutcome::Repaired);
   H2H_EXPECTS(result.response.has_value());
-  json::Object root;
-  root.set("schema_version", kSchemaVersion);
-  if (!request.id.empty()) root.set("id", request.id);
-  root.set("ok", true);
-  root.set("model", zoo_info(request.model).key);
-  root.set("bw_gbps", request.bw_gbps);
-  if (request.links) root.set("links", links_json(*request.links));
-  root.set("batch", request.batch == 0 ? 1u : request.batch);
-  root.set("options", options_json(request.options));
+  json::Object root = response_head(request.id, true);
+  echo_session(root, request);
   root.set("fallback_ratio", request.fallback_ratio);
 
   json::Object event;
@@ -1044,10 +767,7 @@ std::string write_repair_response(const WireRepairRequest& request,
 }
 
 std::string write_error(const WireError& error) {
-  json::Object root;
-  root.set("schema_version", kSchemaVersion);
-  if (!error.id.empty()) root.set("id", error.id);
-  root.set("ok", false);
+  json::Object root = response_head(error.id, false);
   json::Object detail;
   detail.set("code", to_string(error.code));
   detail.set("message", error.message);

@@ -52,7 +52,7 @@
 //                "slo_s":0.012,         // optional latency SLO, seconds
 //                "priority":3,          // optional positive integer
 //                "caps":"bigmem"},      // optional caps spec (capability.h)
-//               ...],                   // >= 1 tenant
+//               ...],                   // 1 to 64 tenants
 //    "bw_gbps":0.125,                   // BW_acc in GB/s, default 0.5
 //    "options":{...},                   // per-round plan options
 //    "max_rounds":3,                    // improvement sweeps after round 1
@@ -185,15 +185,12 @@ struct WireRepairRequest {
   bool emit_timing = true;
 };
 
-/// Parse + validate one single-model request line. A root "tenants" field
-/// is rejected as unknown_field here — use parse_any_request to dispatch.
-[[nodiscard]] std::variant<WireRequest, WireError> parse_request(
-    std::string_view line);
-
-/// Parse + validate one request line of any schema: a root "tenants"
-/// member selects the multi-tenant form, a root "repair" member the
-/// live-repair form, anything else the single-model form (byte-identical
-/// to parse_request for those lines).
+/// Parse + validate one request line: a root "tenants" member selects the
+/// multi-tenant form, a root "repair" member the live-repair form, anything
+/// else the single-model form. A rejection names the first fault in reading
+/// order (the head, then the schema's fields in the order documented above,
+/// the root unknown-key check last) as "<path>: expected <type>" for a bad
+/// value, or "<path>: unknown field" for a key the schema does not define.
 [[nodiscard]] std::variant<WireRequest, WireTenantsRequest, WireRepairRequest,
                            WireError>
 parse_any_request(std::string_view line);

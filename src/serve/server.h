@@ -16,10 +16,13 @@
 // SIGINT/SIGTERM stop the reader, drain in-flight requests, flush the
 // ordered output, and return normally.
 //
-// Both wire schemas are served: single-model requests hit the shared
+// All three wire schemas are served: single-model requests hit the shared
 // Planner; "tenants" requests co-map a TenantSet on a per-bandwidth
 // CoMapper (tenant/co_mapper.h), with CapabilityError answered as
-// infeasible_capability and require_slos misses as slo_violated.
+// infeasible_capability and require_slos misses as slo_violated; "repair"
+// requests repair the latest plan for their session key (repair/repair.h),
+// answering unknown_acc, no_prior_plan, or infeasible_repair when they
+// cannot.
 //
 // serve_tcp accepts loopback TCP connections and runs the same jsonl loop
 // over each socket, one connection at a time (requests within a connection

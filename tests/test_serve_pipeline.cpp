@@ -1,9 +1,16 @@
 // End-to-end serve loop (serve/server.h): jsonl in, jsonl out, errors
 // answered in-band, multi-threaded output identical to single-threaded,
-// tenants requests sharing the loop, and graceful shutdown on signals.
+// tenants requests sharing the loop, the pinned wire fixtures, and graceful
+// shutdown on signals.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <condition_variable>
+#include <fstream>
+#include <iterator>
+#include <mutex>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -118,6 +125,112 @@ TEST(ServePipeline, MultiThreadOutputIsByteIdenticalToSingleThread) {
   const std::vector<std::string> got = run_serve(input, pooled);
   ASSERT_EQ(want.size(), 7u);
   EXPECT_EQ(want, got);
+}
+
+/// A client that keeps the wire's compounding contract (serve/protocol.h,
+/// WireRepairRequest): a "repair" line is sent only once every earlier line
+/// has been answered. Other lines stream ahead, so a worker pool still
+/// plans them concurrently.
+class AwaitingClient {
+ public:
+  explicit AwaitingClient(std::vector<std::string> lines)
+      : requests_(*this, std::move(lines)), responses_(*this) {}
+
+  [[nodiscard]] std::istream& in() { return in_; }
+  [[nodiscard]] std::ostream& out() { return out_; }
+  [[nodiscard]] std::string received() {
+    const std::scoped_lock lock(mu_);
+    return received_;
+  }
+
+ private:
+  class Requests : public std::streambuf {
+   public:
+    Requests(AwaitingClient& client, std::vector<std::string> lines)
+        : client_(client), lines_(std::move(lines)) {}
+
+   protected:
+    int_type underflow() override {
+      if (next_ == lines_.size()) return traits_type::eof();
+      if (lines_[next_].find(R"("repair")") != std::string::npos) {
+        std::unique_lock lock(client_.mu_);
+        client_.answered_cv_.wait(
+            lock, [this] { return client_.answered_ >= next_; });
+      }
+      current_ = lines_[next_++] + '\n';
+      setg(current_.data(), current_.data(),
+           current_.data() + current_.size());
+      return traits_type::to_int_type(current_.front());
+    }
+
+   private:
+    AwaitingClient& client_;
+    std::vector<std::string> lines_;
+    std::size_t next_ = 0;
+    std::string current_;
+  };
+
+  class Responses : public std::streambuf {
+   public:
+    explicit Responses(AwaitingClient& client) : client_(client) {}
+
+   protected:
+    std::streamsize xsputn(const char* s, std::streamsize n) override {
+      {
+        const std::scoped_lock lock(client_.mu_);
+        client_.received_.append(s, static_cast<std::size_t>(n));
+        client_.answered_ +=
+            static_cast<std::size_t>(std::count(s, s + n, '\n'));
+      }
+      client_.answered_cv_.notify_all();
+      return n;
+    }
+    int_type overflow(int_type c) override {
+      if (traits_type::eq_int_type(c, traits_type::eof())) return c;
+      const char ch = traits_type::to_char_type(c);
+      xsputn(&ch, 1);
+      return c;
+    }
+
+   private:
+    AwaitingClient& client_;
+  };
+
+  std::mutex mu_;
+  std::condition_variable answered_cv_;
+  std::size_t answered_ = 0;
+  std::string received_;
+  Requests requests_;
+  Responses responses_;
+  std::istream in_{&requests_};
+  std::ostream out_{&responses_};
+};
+
+// ci/serve_fixtures in process: every response line byte-identical to the
+// pinned expected.jsonl, serially and on a worker pool. CI also diffs these
+// lines against the CLI (`h2h map|comap|repair --json`).
+TEST(ServeFixtures, ServeJsonlMatchesThePinnedResponses) {
+  std::ifstream requests_file(H2H_SERVE_FIXTURES_DIR "/requests.jsonl");
+  std::ifstream expected_file(H2H_SERVE_FIXTURES_DIR "/expected.jsonl");
+  ASSERT_TRUE(requests_file && expected_file) << H2H_SERVE_FIXTURES_DIR;
+  std::vector<std::string> requests;
+  for (std::string line; std::getline(requests_file, line);) {
+    requests.push_back(line);
+  }
+  const std::string expected{std::istreambuf_iterator<char>(expected_file),
+                             std::istreambuf_iterator<char>()};
+  ASSERT_EQ(requests.size(), 8u);
+
+  for (const std::size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(threads);
+    AwaitingClient client(requests);
+    serve::ServeOptions options;
+    options.threads = threads;
+    const serve::ServeStats stats =
+        serve::serve_jsonl(client.in(), client.out(), options);
+    EXPECT_EQ(stats.requests, requests.size());
+    EXPECT_EQ(client.received(), expected);
+  }
 }
 
 TEST(ServePipeline, TenantsRequestsShareTheLoopDeterministically) {
