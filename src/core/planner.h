@@ -27,27 +27,25 @@
 // the request's toggles.
 //
 // Thread safety (DESIGN.md §8): concurrent plan() calls on one Planner are
-// safe. The session cache is sharded by session key (one mutex per shard);
-// each in-flight request gets its own mutable Mapping/LocalityPlan/
-// PassContext, and a session's Simulator/CostTable are read-only once built,
-// so N threads can answer from the same warm session without contention.
-// Sessions are reference-counted: evicting one that another thread is still
-// planning on only drops the cache's reference. The one sharing caveat is
+// safe. The session cache is a SessionStore (util/session_store.h): sharded
+// by session key, reference-counted, LRU-bounded. Each in-flight request gets
+// its own mutable Mapping/LocalityPlan/PassContext, and a session's
+// Simulator/CostTable are read-only once built, so N threads can answer from
+// the same warm session without contention. The one sharing caveat is
 // shared-system mode: mutating the borrowed SystemConfig (set_bw_acc) while
 // requests are in flight is a data race and is forbidden — quiesce first.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "core/mapping_pass.h"
 #include "model/zoo.h"
+#include "util/session_store.h"
 
 namespace h2h {
 
@@ -223,30 +221,38 @@ class Planner {
 
   /// Cached sessions across all shards (exact while quiescent; a snapshot
   /// under concurrent traffic).
-  [[nodiscard]] std::size_t session_count() const noexcept;
+  [[nodiscard]] std::size_t session_count() const noexcept {
+    return sessions_.size();
+  }
   [[nodiscard]] std::uint64_t cache_hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
+    return sessions_.hits();
   }
   [[nodiscard]] std::uint64_t cache_misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
+    return sessions_.misses();
   }
   /// Drop all cached sessions (the next request of each key is cold).
   /// Sessions still in use by in-flight requests stay alive until those
   /// requests return.
-  void clear_sessions() noexcept;
+  void clear_sessions() noexcept { sessions_.clear(); }
 
  private:
   struct Session;
-  struct Shard;
+  /// Model, BW_acc (0 in shared-system mode), batch, and links params
+  /// fingerprint (0 = scalar or shared-system request).
+  struct SessionKey {
+    std::uint64_t model = 0;
+    double bw_acc = 0;
+    std::uint32_t batch = 1;
+    std::uint64_t links_fp = 0;
+    bool operator==(const SessionKey&) const = default;
+  };
+  struct SessionKeyHash;
 
-  [[nodiscard]] Shard& shard_for(std::uint64_t key_hash) const noexcept;
   [[nodiscard]] std::shared_ptr<Session> session_for(
       const PlanRequest& request, double& setup_seconds, bool& warm);
 
   PlannerOptions options_;
-  std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
+  SessionStore<SessionKey, Session, SessionKeyHash> sessions_;
 };
 
 /// One-shot convenience: build the cost state for (model, sys), run the

@@ -113,12 +113,16 @@ class Reader {
     if (v != nullptr && v->is_bool()) dst = v->as_bool();
   }
 
+  /// A `*_gbps` field must also stay finite once scaled to bytes/s.
   void number(const json::Object& obj, std::string_view path, Sign sign,
               double& dst, bool required = false) {
     const json::Value* v = find(obj, path);
     if (v != nullptr && v->is_number() &&
         (sign != Sign::Positive || v->as_number() > 0) &&
         (sign != Sign::NonNegative || v->as_number() >= 0)) {
+      if (path.ends_with("_gbps") && !std::isfinite(gbps(v->as_number()))) {
+        return expected(path, "a bandwidth finite in bytes/s", required);
+      }
       dst = v->as_number();
     } else if (v != nullptr || required) {
       expected(path,

@@ -165,8 +165,8 @@ struct WireTenantsRequest {
 /// hazards are the client's: compounding sequences should be sent one at a
 /// time (await each response) or to a single-threaded server. Failures are
 /// error responses — "unknown_acc" (acc outside the catalog),
-/// "no_prior_plan" (nothing to repair yet), "bad_field" (contradictory
-/// transitions, e.g. losing an already-lost accelerator), and
+/// "no_prior_plan" (no plan for the key yet, or it was evicted), "bad_field"
+/// (contradictory transitions, e.g. losing an already-lost accelerator), and
 /// "infeasible_repair" (the fault leaves some layer with no feasible
 /// accelerator; the session keeps the pre-fault plan so a later
 /// acc_returned can still repair it).

@@ -11,12 +11,12 @@
 #include <mutex>
 #include <ostream>
 #include <thread>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "serve/protocol.h"
 #include "util/error.h"
+#include "util/session_store.h"
 #include "util/str.h"
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -95,7 +95,9 @@ class RequestProcessor {
  public:
   explicit RequestProcessor(const PlannerOptions& planner_options)
       : planner_(planner_options),
-        name_sys_(SystemConfig::standard(0.5e9)) {}
+        name_sys_(SystemConfig::standard(0.5e9)),
+        comap_(planner_options.max_sessions, planner_options.shards),
+        repairs_(planner_options.max_sessions, planner_options.shards) {}
 
   struct Outcome {
     std::string line;
@@ -120,7 +122,9 @@ class RequestProcessor {
     const WireRequest& req = std::get<WireRequest>(parsed);
     try {
       const PlanResponse response = planner_.plan(to_plan_request(req));
-      record_prior(req, response);
+      // The new plan replaces its key's slot, dropping compounded repairs.
+      auto slot = std::make_shared<RepairSlot>(response.mapping, response.plan);
+      repairs_.replace(repair_key(req), std::move(slot));
       return {write_response(req, response, model_for(req.model), name_sys_),
               true};
     } catch (const std::exception& e) {
@@ -133,13 +137,17 @@ class RequestProcessor {
  private:
   [[nodiscard]] Outcome process_tenants(const WireTenantsRequest& req) {
     try {
-      CoMapSession& session = session_for(req.bw_gbps);
+      std::shared_ptr<CoMapSession> session = comap_.find(req.bw_gbps);
+      if (session == nullptr) {
+        session = comap_.insert(req.bw_gbps,
+                                std::make_shared<CoMapSession>(req.bw_gbps));
+      }
       const TenantSet set(req.tenants);
       CoMapOptions opts;
       opts.plan = req.options;
       opts.max_rounds = req.max_rounds;
       opts.steal_round = req.steal_round;
-      const CoMapResult result = session.comapper.co_map(set, opts);
+      const CoMapResult result = session->comapper.co_map(set, opts);
       if (req.require_slos && !result.all_slos_met) {
         std::string missing;
         for (const TenantOutcome& t : result.tenants) {
@@ -175,47 +183,34 @@ class RequestProcessor {
     std::uint32_t batch = 0;
     double bw_gbps = 0;
     std::uint64_t links_fp = 0;  // params fingerprint; 0 = scalar bw
-    [[nodiscard]] friend bool operator<(const RepairKey& a,
-                                        const RepairKey& b) {
-      return std::tie(a.model, a.batch, a.bw_gbps, a.links_fp) <
-             std::tie(b.model, b.batch, b.bw_gbps, b.links_fp);
+    bool operator==(const RepairKey&) const = default;
+  };
+  struct RepairKeyHash {
+    std::size_t operator()(const RepairKey& k) const noexcept {
+      return std::hash<double>{}(k.bw_gbps) ^ k.links_fp ^
+             (std::size_t{k.batch} << 8) ^ static_cast<std::size_t>(k.model);
     }
   };
 
-  [[nodiscard]] static RepairKey repair_key(
-      ZooModel model, std::uint32_t batch, double bw_gbps,
-      const std::optional<Interconnect>& links) {
-    return RepairKey{model, batch == 0 ? 1u : batch, bw_gbps,
-                     links ? links->params_fingerprint() : 0};
+  /// The key of a plan or repair request.
+  template <typename Request>
+  [[nodiscard]] static RepairKey repair_key(const Request& req) {
+    return {req.model, req.batch == 0 ? 1u : req.batch, req.bw_gbps,
+            req.links ? req.links->params_fingerprint() : 0};
   }
 
-  /// The most recent successful plan for a key — what the first repair of a
-  /// session adopts. Kept separate from the live RepairSession so a fresh
-  /// plan request can reset a compounded repair history.
-  struct PriorPlan {
+  /// Per-key repair state: the most recent successful plan (what the first
+  /// repair adopts) and the live repair session built by that first repair,
+  /// an owned model copy (at the session batch) plus the engine compounding
+  /// fault events against it. `mu` serializes repairs of the key; a new
+  /// plan replaces the whole slot, dropping any compounded history.
+  struct RepairSlot {
     Mapping mapping;
     LocalityPlan plan;
+    std::mutex mu;
+    std::optional<ModelGraph> model;     // guarded by mu
+    std::optional<RepairEngine> engine;  // guarded by mu
   };
-
-  /// A live repair session: an owned model copy (at the session batch) and
-  /// the engine compounding fault events against it.
-  struct RepairSession {
-    ModelGraph model;
-    RepairEngine engine;
-    RepairSession(ModelGraph m, SystemConfig sys, RepairOptions opts)
-        : model(std::move(m)),
-          engine(model, std::move(sys), std::move(opts)) {}
-  };
-
-  void record_prior(const WireRequest& req, const PlanResponse& response) {
-    const RepairKey key =
-        repair_key(req.model, req.batch, req.bw_gbps, req.links);
-    const std::scoped_lock lock(repair_mu_);
-    priors_.insert_or_assign(key,
-                             PriorPlan{response.mapping, response.plan});
-    // A new plan supersedes any compounded repair state for the key.
-    repairs_.erase(key);
-  }
 
   [[nodiscard]] Outcome process_repair(const WireRepairRequest& req) {
     if (req.event.acc.value >= name_sys_.accelerator_count()) {
@@ -227,45 +222,42 @@ class RequestProcessor {
                            req.id}),
               false};
     }
-    const RepairKey key =
-        repair_key(req.model, req.batch, req.bw_gbps, req.links);
-    // One lock across the whole repair: sessions compound state, so repairs
-    // serialize (plans and co-maps still run concurrently).
-    const std::scoped_lock lock(repair_mu_);
+    // A slot that was never planned or has been evicted: nothing to repair.
+    const std::shared_ptr<RepairSlot> slot = repairs_.find(repair_key(req));
+    if (slot == nullptr) {
+      return {write_error({ErrorCode::NoPriorPlan,
+                           "repair: no prior plan for this model/topology/"
+                           "batch on this server — send a plan request "
+                           "first",
+                           req.id}),
+              false};
+    }
+    // Repairs of one key compound state, so they serialize on its slot;
+    // other keys, plans and co-maps run concurrently.
+    const std::scoped_lock lock(slot->mu);
     RepairOptions opts;
     opts.plan = req.options;
     opts.fallback_ratio = req.fallback_ratio;
-    std::unique_ptr<RepairSession>& session = repairs_[key];
-    if (session == nullptr) {
-      const auto prior = priors_.find(key);
-      if (prior == priors_.end()) {
-        repairs_.erase(key);
-        return {write_error({ErrorCode::NoPriorPlan,
-                             "repair: no prior plan for this model/topology/"
-                             "batch on this server — send a plan request "
-                             "first",
-                             req.id}),
-                false};
-      }
-      ModelGraph model = make_model(req.model);
-      if (req.batch != 0) model.set_batch(req.batch);
-      SystemConfig sys = req.links
-                             ? SystemConfig::standard(*req.links)
-                             : SystemConfig::standard(req.bw_gbps * 1e9);
-      session = std::make_unique<RepairSession>(std::move(model),
-                                                std::move(sys), opts);
-      session->engine.adopt(prior->second.mapping, prior->second.plan);
-    } else {
-      session->engine.set_options(opts);
-    }
     try {
-      const RepairResult result = session->engine.apply(req.event);
+      if (!slot->engine) {
+        slot->model.emplace(make_model(req.model));
+        if (req.batch != 0) slot->model->set_batch(req.batch);
+        slot->engine.emplace(*slot->model,
+                             req.links
+                                 ? SystemConfig::standard(*req.links)
+                                 : SystemConfig::standard(req.bw_gbps * 1e9),
+                             opts);
+        slot->engine->adopt(slot->mapping, slot->plan);
+      } else {
+        slot->engine->set_options(opts);
+      }
+      const RepairResult result = slot->engine->apply(req.event);
       if (result.outcome == RepairOutcome::Infeasible) {
         return {write_error({ErrorCode::InfeasibleRepair,
                              result.infeasible_reason, req.id}),
                 false};
       }
-      return {write_repair_response(req, result, session->model, name_sys_),
+      return {write_repair_response(req, result, *slot->model, name_sys_),
               true};
     } catch (const ConfigError& e) {
       // Contradictory transitions (losing a lost accelerator, returning a
@@ -289,8 +281,7 @@ class RequestProcessor {
 
   /// One CoMapper per requested bandwidth, kept warm across requests and
   /// connections (the member system must outlive the borrowing CoMapper,
-  /// hence the pairing). co_map itself is thread-safe; the lock only
-  /// guards session creation.
+  /// hence the pairing). co_map itself is thread-safe.
   struct CoMapSession {
     SystemConfig sys;
     CoMapper comapper;
@@ -298,22 +289,13 @@ class RequestProcessor {
         : sys(SystemConfig::standard(bw_gbps * 1e9)), comapper(sys) {}
   };
 
-  [[nodiscard]] CoMapSession& session_for(double bw_gbps) {
-    const std::scoped_lock lock(comap_mu_);
-    std::unique_ptr<CoMapSession>& slot = comap_[bw_gbps];
-    if (slot == nullptr) slot = std::make_unique<CoMapSession>(bw_gbps);
-    return *slot;
-  }
-
   Planner planner_;
   SystemConfig name_sys_;  // accelerator names only; BW value irrelevant
   std::mutex models_mu_;
   std::map<ZooModel, std::unique_ptr<const ModelGraph>> models_;
-  std::mutex comap_mu_;
-  std::map<double, std::unique_ptr<CoMapSession>> comap_;
-  std::mutex repair_mu_;
-  std::map<RepairKey, PriorPlan> priors_;
-  std::map<RepairKey, std::unique_ptr<RepairSession>> repairs_;
+  // Bounded like the Planner's sessions, by the same PlannerOptions.
+  SessionStore<double, CoMapSession> comap_;
+  SessionStore<RepairKey, RepairSlot, RepairKeyHash> repairs_;
 };
 
 /// Reorders completed responses back into request order. Whichever thread
@@ -381,9 +363,8 @@ enum class LineStatus { Ok, Oversized, Eof };
 ServeStats run_loop(RequestProcessor& processor, std::istream& in,
                     std::ostream& out, const ServeOptions& options) {
   OrderedEmitter emitter(out);
-  ServeStats totals;
   std::string line;
-  std::uint64_t seq = 0;
+  std::uint64_t seq = 0;  // one per request: every non-empty line
 
   // A shutdown signal interrupts the blocking read, so the stream reports
   // EOF; a line the signal cut in half must be dropped, not answered as a
@@ -394,35 +375,17 @@ ServeStats run_loop(RequestProcessor& processor, std::istream& in,
            shutdown_requested() && in.eof();
   };
 
-  if (options.threads <= 1) {
-    for (;;) {
-      const LineStatus status = read_line(in, line, options.max_line_bytes);
-      if (status == LineStatus::Eof || cut_by_signal(status)) break;
-      if (status == LineStatus::Ok && line.empty()) continue;
-      ++totals.requests;
-      if (status == LineStatus::Oversized) {
-        emitter.emit(seq++, oversized_error(options.max_line_bytes), false);
-        continue;
-      }
-      RequestProcessor::Outcome o = processor.process(line);
-      emitter.emit(seq++, std::move(o.line), o.ok);
-    }
-    const ServeStats s = emitter.stats();
-    totals.ok = s.ok;
-    totals.errors = s.errors;
-    return totals;
-  }
-
   std::mutex mu;
   std::condition_variable work_cv;   // workers wait for lines
   std::condition_variable space_cv;  // reader waits for inbox room
   std::deque<std::pair<std::uint64_t, std::string>> inbox;
   bool done = false;
-  const std::size_t inbox_cap = options.threads * 8;
+  const std::size_t threads = std::max<std::size_t>(1, options.threads);
+  const std::size_t inbox_cap = threads * 8;
 
   std::vector<std::thread> workers;
-  workers.reserve(options.threads);
-  for (std::size_t i = 0; i < options.threads; ++i) {
+  workers.reserve(threads);
+  for (std::size_t i = 0; i < threads; ++i) {
     workers.emplace_back([&] {
       for (;;) {
         std::unique_lock lock(mu);
@@ -443,7 +406,6 @@ ServeStats run_loop(RequestProcessor& processor, std::istream& in,
     const LineStatus status = read_line(in, line, options.max_line_bytes);
     if (status == LineStatus::Eof || cut_by_signal(status)) break;
     if (status == LineStatus::Ok && line.empty()) continue;
-    ++totals.requests;
     if (status == LineStatus::Oversized) {
       emitter.emit(seq++, oversized_error(options.max_line_bytes), false);
       continue;
@@ -460,9 +422,8 @@ ServeStats run_loop(RequestProcessor& processor, std::istream& in,
   work_cv.notify_all();
   for (std::thread& t : workers) t.join();
 
-  const ServeStats s = emitter.stats();
-  totals.ok = s.ok;
-  totals.errors = s.errors;
+  ServeStats totals = emitter.stats();
+  totals.requests = seq;
   return totals;
 }
 

@@ -22,7 +22,9 @@
 // infeasible_capability and require_slos misses as slo_violated; "repair"
 // requests repair the latest plan for their session key (repair/repair.h),
 // answering unknown_acc, no_prior_plan, or infeasible_repair when they
-// cannot.
+// cannot. Planner sessions, co-map sessions and repair slots each live in a
+// bounded SessionStore (util/session_store.h); ServeOptions::planner
+// configures every serve store, so an evicted plan answers no_prior_plan.
 //
 // serve_tcp accepts loopback TCP connections and runs the same jsonl loop
 // over each socket, one connection at a time (requests within a connection
@@ -39,10 +41,11 @@
 namespace h2h::serve {
 
 struct ServeOptions {
-  /// Worker threads planning concurrently. 1 = plan inline on the reader
-  /// thread (no pool, fully deterministic scheduling).
+  /// Worker threads planning concurrently (0 counts as 1). Output order
+  /// and bytes do not depend on it.
   std::size_t threads = 1;
-  /// Session-cache configuration of the shared Planner.
+  /// Configures every serve store: the shared Planner's sessions, and the
+  /// co-map sessions and repair slots with the same max_sessions/shards.
   PlannerOptions planner;
   /// Requests longer than this are answered with parse_error (guards the
   /// line buffer against unbounded input).

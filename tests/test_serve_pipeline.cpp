@@ -233,6 +233,35 @@ TEST(ServeFixtures, ServeJsonlMatchesThePinnedResponses) {
   }
 }
 
+TEST(ServePipeline, TenantsPastStoreCapacityMatchAFreshServer) {
+  // More distinct bandwidths than the co-map store holds, revisiting
+  // evicted ones: every line is answered byte for byte as a fresh server
+  // answers it alone.
+  serve::ServeOptions bounded;
+  bounded.planner.max_sessions = 2;
+  bounded.planner.shards = 1;
+  std::vector<std::string> requests;
+  for (const double bw : {0.5, 0.25, 0.125, 1.0, 0.5, 0.25}) {
+    requests.push_back(strformat(
+        R"({"schema_version":1,"id":"t%zu","tenants":[)"
+        R"({"name":"a","model":"mocap","slo_s":0.5},)"
+        R"({"name":"b","model":"mocap"}],"bw_gbps":%g,)"
+        R"("options":{"remap":false},"max_rounds":1})",
+        requests.size(), bw));
+  }
+  std::string input;
+  for (const std::string& r : requests) input += r + "\n";
+  const std::vector<std::string> lines = run_serve(input, bounded);
+  ASSERT_EQ(lines.size(), requests.size());
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const std::vector<std::string> fresh = run_serve(requests[i] + "\n", {});
+    ASSERT_EQ(fresh.size(), 1u);
+    EXPECT_EQ(lines[i], fresh.front());
+  }
+  bounded.threads = 4;
+  EXPECT_EQ(run_serve(input, bounded), lines);
+}
+
 TEST(ServePipeline, TenantsRequestsShareTheLoopDeterministically) {
   // Tenants and single-model lines interleave on one loop; tenant errors
   // are answered in-band; and because tenants responses carry no timing,

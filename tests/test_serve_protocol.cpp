@@ -128,6 +128,15 @@ TEST(ServeProtocol, RejectsBadFieldValuesAndEchoesId) {
             ErrorCode::BadField);
 }
 
+TEST(ServeProtocol, AcceptsTheLargestScalableBandwidth) {
+  // 1e299 GB/s is still finite in bytes/s; only the overflow is rejected.
+  const auto parsed = serve::parse_any_request(
+      R"({"schema_version":1,"model":"mocap","bw_gbps":1e299})");
+  const auto* req = std::get_if<serve::WireRequest>(&parsed);
+  ASSERT_NE(req, nullptr);
+  EXPECT_EQ(req->bw_gbps, 1e299);
+}
+
 TEST(ServeProtocol, RejectsUnknownModelListingKnownKeys) {
   const WireError err =
       parse_err(R"({"schema_version":1,"model":"resnet"})");
@@ -538,6 +547,25 @@ TEST(ServeProtocol, EveryRejectionIsPinned) {
        ErrorCode::BadField, "repair: expected an object", "r43"},
       {R"({"schema_version":1,"model":"mocap","repair":{"event":"acc_lost","acc":0},"tenants":[{"name":"a","model":"mocap"}]})",
        ErrorCode::UnknownField, "model: unknown field", ""},
+      // A *_gbps value whose bytes/s (x 1e9) is not finite, in every schema and links shape.
+      {R"({"schema_version":1,"id":"g1","model":"mocap","bw_gbps":1e300})",
+       ErrorCode::BadField, "bw_gbps: expected a bandwidth finite in bytes/s", "g1"},
+      {R"({"schema_version":1,"id":"g2","model":"mocap","links":{"shape":"uniform","bw_gbps":1e300}})",
+       ErrorCode::BadField, "links.bw_gbps: expected a bandwidth finite in bytes/s", "g2"},
+      {R"({"schema_version":1,"id":"g3","model":"mocap","links":{"shape":"mixed","bw_gbps":-1e300}})",
+       ErrorCode::BadField, "links.bw_gbps: expected a bandwidth finite in bytes/s", "g3"},
+      {R"({"schema_version":1,"id":"g4","model":"mocap","links":{"shape":"mixed","bw_gbps":0.5,"overrides":[{"acc":0,"bw_gbps":1e300}]}})",
+       ErrorCode::BadField, "links.overrides.bw_gbps: expected a bandwidth finite in bytes/s (required)", "g4"},
+      {R"({"schema_version":1,"id":"g5","model":"mocap","links":{"shape":"hierarchical","group_size":4,"intra_gbps":1e300,"uplink_gbps":0.25}})",
+       ErrorCode::BadField, "links.intra_gbps: expected a bandwidth finite in bytes/s", "g5"},
+      {R"({"schema_version":1,"id":"g6","model":"mocap","links":{"shape":"hierarchical","group_size":4,"intra_gbps":1.25,"uplink_gbps":1e300}})",
+       ErrorCode::BadField, "links.uplink_gbps: expected a bandwidth finite in bytes/s", "g6"},
+      {R"({"schema_version":1,"id":"g7","model":"mocap","links":{"shape":"hierarchical","group_size":4,"intra_gbps":1.25,"uplink_gbps":0.25,"host_gbps":1e300}})",
+       ErrorCode::BadField, "links.host_gbps: expected a bandwidth finite in bytes/s", "g7"},
+      {R"({"schema_version":1,"id":"g8","tenants":[{"name":"a","model":"mocap"}],"bw_gbps":1e300})",
+       ErrorCode::BadField, "bw_gbps: expected a bandwidth finite in bytes/s", "g8"},
+      {R"({"schema_version":1,"id":"g9","model":"mocap","repair":{"event":"acc_lost","acc":0},"bw_gbps":1.8e299})",
+       ErrorCode::BadField, "bw_gbps: expected a bandwidth finite in bytes/s", "g9"},
   };
   // clang-format on
   for (const PinnedRejection& row : kRows) {

@@ -45,10 +45,11 @@ using serve::WireRepairRequest;
       testing::search_time_budget());
 }
 
-[[nodiscard]] std::vector<std::string> run_serve(const std::string& input) {
+[[nodiscard]] std::vector<std::string> run_serve(
+    const std::string& input, const serve::ServeOptions& options = {}) {
   std::istringstream in(input);
   std::ostringstream out;
-  (void)serve::serve_jsonl(in, out, {});
+  (void)serve::serve_jsonl(in, out, options);
   std::vector<std::string> lines;
   std::istringstream split(out.str());
   for (std::string line; std::getline(split, line);) lines.push_back(line);
@@ -184,6 +185,78 @@ TEST(ServeRepair, AnswersSessionErrorsInBand) {
   EXPECT_NE(lines[2].find("unknown_acc"), std::string::npos);
   // A different model is a different session key: still no prior plan.
   EXPECT_NE(lines[3].find("no_prior_plan"), std::string::npos);
+}
+
+TEST(ServeRepair, EvictedPriorAnswersNoPriorPlan) {
+  // Repair slots share the Planner's capacity: with room for two keys,
+  // planning A, B, then C evicts A's slot, and a repair on A is answered
+  // exactly like one that never had a plan. C keeps repairing and
+  // compounding: returning accelerator 0 is only valid after losing it.
+  serve::ServeOptions options;
+  options.planner.max_sessions = 2;
+  options.planner.shards = 1;
+  std::string c_session;
+  c_session += plan_line("mocap", "pc") + "\n";
+  c_session += repair_line("mocap", "rc1", "acc_lost", 0) + "\n";
+  c_session += repair_line("mocap", "rc2", "acc_returned", 0) + "\n";
+  std::string input;
+  input += plan_line("cnn-lstm", "pa") + "\n";
+  input += plan_line("facebag", "pb") + "\n";
+  input += plan_line("mocap", "pc") + "\n";
+  input += repair_line("cnn-lstm", "ra", "acc_lost", 0) + "\n";
+  input += repair_line("mocap", "rc1", "acc_lost", 0) + "\n";
+  input += repair_line("mocap", "rc2", "acc_returned", 0) + "\n";
+  const std::vector<std::string> lines = run_serve(input, options);
+  ASSERT_EQ(lines.size(), 6u);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NE(lines[i].find(R"("ok":true)"), std::string::npos) << lines[i];
+  }
+  EXPECT_EQ(lines[3],
+            serve::write_error({ErrorCode::NoPriorPlan,
+                                "repair: no prior plan for this model/"
+                                "topology/batch on this server — send a plan "
+                                "request first",
+                                "ra"}));
+  EXPECT_NE(lines[5].find(R"("outcome":"repaired")"), std::string::npos)
+      << lines[5];
+
+  // C's lines match a server that never evicted anything.
+  const std::vector<std::string> unbounded = run_serve(c_session);
+  ASSERT_EQ(unbounded.size(), 3u);
+  EXPECT_EQ(lines[2], unbounded[0]);
+  EXPECT_EQ(lines[4], unbounded[1]);
+  EXPECT_EQ(lines[5], unbounded[2]);
+}
+
+TEST(ServeRepair, ConcurrentRepairsAcrossKeysAreAllAnswered) {
+  // Repairs lock per key: on a worker pool, repairs of different keys run
+  // in parallel and those of one key serialize on its slot. Degrades and
+  // derates compound validly in any order, so every repair is answered
+  // "repaired" whichever worker wins — or no_prior_plan if it overtook
+  // its key's plan.
+  serve::ServeOptions pooled;
+  pooled.threads = 4;
+  const char* models[] = {"mocap", "cnn-lstm", "facebag", "casia-surf"};
+  std::string input;
+  for (const char* model : models) input += plan_line(model, "p") + "\n";
+  for (unsigned round = 1; round <= 4; ++round) {
+    const char* event = round % 2 == 0 ? "link_degraded" : "spec_derated";
+    for (const char* model : models) {
+      input += repair_line(model, "r", event, round, R"(,"scale":0.5)") + "\n";
+    }
+  }
+  const std::vector<std::string> lines = run_serve(input, pooled);
+  ASSERT_EQ(lines.size(), 20u);
+  for (std::size_t i = 0; i < lines.size(); ++i) {
+    const bool repaired =
+        lines[i].find(R"("outcome":"repaired")") != std::string::npos;
+    const bool unplanned = lines[i].find("no_prior_plan") != std::string::npos;
+    if (i < 4) {
+      EXPECT_NE(lines[i].find(R"("ok":true)"), std::string::npos) << lines[i];
+    } else {
+      EXPECT_TRUE(repaired || unplanned) << lines[i];
+    }
+  }
 }
 
 TEST(ServeRepair, CapabilityExhaustionAnswersInfeasibleRepair) {
