@@ -53,9 +53,10 @@ void BM_CoMap_3Tenants(benchmark::State& state) {
 BENCHMARK(BM_CoMap_3Tenants)->Unit(benchmark::kMillisecond);
 
 void BM_CoMap_3Tenants_WarmPlanner(benchmark::State& state) {
-  // The CoMapper's solo-plan cache is warm after the first call — the
-  // steady-state cost of re-co-mapping (e.g. serve answering a repeated
-  // tenants request).
+  // After the first call the CoMapper's solo memo answers every solo plan
+  // without planning, so each iteration is the union baseline plus the
+  // rounds — the steady-state cost of re-co-mapping (e.g. serve answering a
+  // repeated tenants request).
   const SystemConfig sys = bench_system();
   const TenantSet set(three_tenants());
   CoMapper comapper(sys);

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <optional>
 
 #include "core/activation_fusion.h"
 #include "core/weight_locality.h"
@@ -27,6 +28,24 @@ struct Score {
   if (cur.violation < next.violation) return false;
   return next.makespan < cur.makespan - 1e-12;
 }
+
+/// True when a co-map may reuse work whose result is already known: no
+/// wall-clock budget (budgeted results depend on timing) and no caller hook
+/// or pointer in the options (a reused result would not call or fill it).
+[[nodiscard]] bool reusable(const PlanOptions& o) noexcept {
+  return !o.time_budget_s && !o.step1.preferred && o.step1.stats == nullptr &&
+         o.weight.force_pin == nullptr && o.remap.weight.force_pin == nullptr &&
+         o.remap.locked == nullptr && !o.remap.deadline;
+}
+
+/// What one tenant's replan reads of the current co-mapping: its peers'
+/// accelerators (the step-1 preference hook) and pin flags (force_pin).
+/// The tenant's own layers read as host / unpinned.
+struct PeerInputs {
+  std::vector<AccId> acc;
+  std::vector<bool> pin;
+  bool operator==(const PeerInputs&) const = default;
+};
 
 [[nodiscard]] Score score_of(const TenantSet& set,
                              const std::vector<double>& latency,
@@ -61,21 +80,102 @@ const TenantOutcome& CoMapResult::outcome(std::string_view name) const {
       strformat("no tenant named '%s'", std::string(name).c_str()));
 }
 
-CoMapper::CoMapper(const SystemConfig& sys) : sys_(&sys), planner_(sys) {}
+/// Everything a solo plan depends on besides the fixed system: the stamped
+/// model, its batch, the system's bandwidth and link/derate state, and every
+/// value field of PlanOptions (the hooks and pointers bypass the memo).
+struct CoMapper::SoloKey {
+  std::uint64_t model;
+  std::uint32_t batch;
+  double bw_acc;
+  std::uint64_t links_fp;
+  std::uint64_t derate_fp;
+  std::uint64_t max_candidates;
+  KnapsackAlgo algo;
+  std::uint32_t max_dp_units;
+  bool enforce_capacity;
+  std::uint32_t max_passes;
+  double epsilon;
+  bool use_incremental;
+  bool use_delta_locality;
+  bool use_knapsack_cache;
+  RemapObjective objective;
+  KnapsackAlgo remap_algo;
+  std::uint32_t remap_max_dp_units;
+  bool remap_enforce_capacity;
+  bool run_remapping;
+  bool run_weight_locality;
+  bool run_fusion;
+  bool operator==(const SoloKey&) const = default;
+};
+
+/// Shard selector: the model and batch spread the keys well enough.
+struct CoMapper::SoloKeyHash {
+  std::size_t operator()(const SoloKey& k) const noexcept {
+    return static_cast<std::size_t>(k.model ^ (k.batch * 0x9E3779B97F4A7C15));
+  }
+};
+
+/// The two things co_map reads of a solo plan.
+struct CoMapper::SoloPlan {
+  Mapping mapping;
+  double latency_s = 0;
+};
+
+CoMapper::CoMapper(const SystemConfig& sys)
+    : sys_(&sys),
+      planner_(sys),
+      solo_(PlannerOptions{}.max_sessions, PlannerOptions{}.shards) {}
+
+CoMapper::~CoMapper() = default;
+CoMapper::CoMapper(CoMapper&&) noexcept = default;
+CoMapper& CoMapper::operator=(CoMapper&&) noexcept = default;
 
 CoMapResult CoMapper::co_map(const TenantSet& set,
                              const CoMapOptions& options) {
   const std::size_t n = set.size();
 
-  // Round 0a: solo plans on the idle system. Warm across co_map calls (the
-  // shared-system Planner keys sessions on the stamped model fingerprint).
-  std::vector<PlanResponse> solo;
+  const PlanOptions& opt = options.plan;
+  const bool reuse = reusable(opt);
+
+  // Round 0a: solo plans on the idle system, memoized across co_map calls.
+  // A miss plans through the shared-system Planner, whose sessions stay
+  // warm on the stamped model fingerprint.
+  std::vector<std::shared_ptr<SoloPlan>> solo;
   solo.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    PlanRequest req =
-        PlanRequest::for_graph(set.model(i), sys_->host().bw_acc);
-    req.options = options.plan;
-    solo.push_back(planner_.plan(req));
+    const ModelGraph& m = set.model(i);
+    const SoloKey key{model_fingerprint(m),
+                      m.batch(),
+                      sys_->host().bw_acc,
+                      sys_->links().fingerprint(),
+                      sys_->derate_fingerprint(),
+                      opt.step1.max_candidates,
+                      opt.weight.algo,
+                      opt.weight.max_dp_units,
+                      opt.fusion.enforce_capacity,
+                      opt.remap.max_passes,
+                      opt.remap.epsilon,
+                      opt.remap.use_incremental,
+                      opt.remap.use_delta_locality,
+                      opt.remap.use_knapsack_cache,
+                      opt.remap.objective,
+                      opt.remap.weight.algo,
+                      opt.remap.weight.max_dp_units,
+                      opt.remap.fusion.enforce_capacity,
+                      opt.run_remapping,
+                      opt.run_weight_locality,
+                      opt.run_fusion};
+    std::shared_ptr<SoloPlan> plan = reuse ? solo_.find(key) : nullptr;
+    if (plan == nullptr) {
+      PlanRequest req = PlanRequest::for_graph(m, sys_->host().bw_acc);
+      req.options = opt;
+      PlanResponse r = planner_.plan(req);
+      const double latency = r.final_result().latency;
+      plan = std::make_shared<SoloPlan>(
+          SoloPlan{std::move(r.mapping), latency});
+      if (reuse) plan = solo_.insert(key, std::move(plan));
+    }
+    solo.push_back(std::move(plan));
   }
 
   // The union model and the one simulator every round shares. A
@@ -97,7 +197,7 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
     std::vector<LayerId> order;
     for (std::size_t i = 0; i < n; ++i) {
       const ModelGraph& sm = set.model(i);
-      const Mapping& smap = solo[i].mapping;
+      const Mapping& smap = solo[i]->mapping;
       order.clear();
       for (const LayerId sid : sm.all_layers())
         if (sm.layer(sid).kind != LayerKind::Input) order.push_back(sid);
@@ -109,11 +209,10 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
                            smap.acc_of(sid));
     }
   }
-  if (options.plan.run_weight_locality)
-    optimize_weight_locality(sim, seq_mapping, seq_plan, options.plan.weight);
-  if (options.plan.run_fusion)
-    optimize_activation_fusion(sim, seq_mapping, seq_plan,
-                               options.plan.fusion);
+  if (opt.run_weight_locality)
+    optimize_weight_locality(sim, seq_mapping, seq_plan, opt.weight);
+  if (opt.run_fusion)
+    optimize_activation_fusion(sim, seq_mapping, seq_plan, opt.fusion);
   const ScheduleResult seq_sched = sim.simulate(seq_mapping, seq_plan);
   const std::vector<double> seq_lat = tenant_latencies(seq_sched, spans);
   const Score seq_score = score_of(set, seq_lat, seq_sched.latency);
@@ -132,38 +231,45 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
   std::vector<double> cur_lat = seq_lat;
   Score cur_score = seq_score;
 
+  // What tenant `active`'s replan reads of the current co-mapping.
+  const auto peer_inputs = [&](std::size_t active) {
+    PeerInputs in{std::vector<AccId>(model.layer_count(), AccId::host()),
+                  std::vector<bool>(model.layer_count(), false)};
+    for (std::uint32_t l = 0; l < model.layer_count(); ++l) {
+      if (spans[active].contains(LayerId{l})) continue;
+      in.acc[l] = cur.acc_of(LayerId{l});
+      in.pin[l] = cur_plan.pinned(LayerId{l});
+    }
+    return in;
+  };
+
   // Replan the whole union for one tenant, peers expressed as constraints.
-  const auto run_round = [&](std::size_t active) -> PlanResponse {
+  // Reads nothing of the co-mapping beyond `in`, which is what makes the
+  // reuse rule below exact.
+  const auto run_round = [&](std::size_t active,
+                             const PeerInputs& in) -> PlanResponse {
     if (n == 1) {
       // No peers: every hook stays off, so this is the plain default
       // pipeline — bit-identical to Planner::plan on the same model/system
       // (pinned by test_tenant.cpp).
-      return run_passes(sim, make_default_pipeline(options.plan),
-                        options.plan.time_budget_s);
+      return run_passes(sim, make_default_pipeline(opt), opt.time_budget_s);
     }
-    PlanOptions po = options.plan;
+    PlanOptions po = opt;
     const TenantSpan span = spans[active];
     // Step 1: peer layers are forced to their current accelerators through
     // the placement-preference hook (their candidate lists collapse to one
     // entry, so enumeration effort stays on the active tenant).
-    const auto snapshot = std::make_shared<Mapping>(cur);
-    po.step1.preferred = [snapshot, span](LayerId id) -> std::optional<AccId> {
-      if (span.contains(id)) return std::nullopt;
-      const AccId a = snapshot->acc_of(id);
+    po.step1.preferred = [&acc = in.acc](LayerId id) -> std::optional<AccId> {
+      const AccId a = acc[id.value];
       return a.is_host() ? std::nullopt : std::optional<AccId>(a);
     };
     // Steps 2/4: peers' pinned weights stay pinned and peer layers never
     // move (the step-4 probe re-runs step 2 internally, so the pin mask is
     // threaded there too).
-    std::vector<bool> pin(model.layer_count(), false);
-    std::vector<bool> locked(model.layer_count(), false);
-    for (std::uint32_t l = 0; l < model.layer_count(); ++l) {
-      if (span.contains(LayerId{l})) continue;
-      locked[l] = true;
-      pin[l] = cur_plan.pinned(LayerId{l});
-    }
-    po.weight.force_pin = &pin;
-    po.remap.weight.force_pin = &pin;
+    std::vector<bool> locked(model.layer_count(), true);
+    for (std::uint32_t l = span.begin; l < span.end; ++l) locked[l] = false;
+    po.weight.force_pin = &in.pin;
+    po.remap.weight.force_pin = &in.pin;
     po.remap.locked = &locked;
     return run_passes(sim, make_default_pipeline(po), po.time_budget_s);
   };
@@ -178,15 +284,32 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
 
   // Round 1 adopts unconditionally (every tenant gets one full replan with
   // its peers fixed); later sweeps only on strict score improvement, so the
-  // loop terminates.
+  // loop terminates. A turn whose peer inputs match the tenant's last
+  // replan would recompute that replan bit for bit, so when its score would
+  // not improve the current one the turn is skipped (DESIGN.md §11).
+  struct LastReplan {
+    PeerInputs in;
+    Score score;
+  };
+  std::vector<std::optional<LastReplan>> last(n);
   std::uint32_t rounds = 0;
+  std::uint32_t replans = 0;
+  std::uint32_t reused = 0;
   for (std::uint32_t round = 0; round < 1 + options.max_rounds; ++round) {
     bool adopted = false;
     for (const std::size_t i : slack_order(set, cur_lat, normalize)) {
-      PlanResponse r = run_round(i);
+      ++replans;
+      PeerInputs in = peer_inputs(i);
+      if (reuse && last[i] && last[i]->in == in &&
+          !improves(last[i]->score, cur_score)) {
+        ++reused;
+        continue;
+      }
+      PlanResponse r = run_round(i, in);
       const ScheduleResult& sched = r.final_result();
       const Score sc =
           score_of(set, tenant_latencies(sched, spans), sched.latency);
+      last[i] = LastReplan{std::move(in), sc};
       if (round == 0 || improves(sc, cur_score)) {
         adopt(std::move(r));
         adopted = true;
@@ -213,15 +336,10 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
         for (std::uint32_t l = spans[j].begin; l < spans[j].end; ++l)
           locked[l] = true;
       }
-      PlanOptions po = options.plan;
+      PlanOptions po = opt;
       po.remap.locked = &locked;
-      PassPipeline pipe;
-      pipe.push_back(make_warm_start_pass(cur));
-      if (po.run_weight_locality)
-        pipe.push_back(make_weight_locality_pass(po.weight));
-      if (po.run_fusion) pipe.push_back(make_activation_fusion_pass(po.fusion));
-      if (po.run_remapping) pipe.push_back(make_remapping_pass(po.remap));
-      PlanResponse r = run_passes(sim, pipe, po.time_budget_s);
+      PlanResponse r =
+          run_passes(sim, make_default_pipeline(po, &cur), po.time_budget_s);
       const ScheduleResult& sched = r.final_result();
       const Score sc =
           score_of(set, tenant_latencies(sched, spans), sched.latency);
@@ -232,14 +350,15 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
   CoMapResult res{std::move(model),    std::move(cur), std::move(cur_plan),
                   std::move(cur_sched), {},             seq_sched.latency,
                   seq_score.violation, cur_score.violation,
-                  rounds,              steal_ran,       true};
+                  rounds,              steal_ran,       true,
+                  replans,             reused};
   res.tenants.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const TenantRequest& t = set.request(i);
     TenantOutcome o;
     o.name = t.name;
     o.span = spans[i];
-    o.solo_latency_s = solo[i].final_result().latency;
+    o.solo_latency_s = solo[i]->latency_s;
     o.seq_latency_s = seq_lat[i];
     o.latency_s = cur_lat[i];
     o.slo_s = t.slo_s;

@@ -9,7 +9,9 @@
 //
 //   1. Solo plans: each tenant planned alone on the idle system (a warm
 //      shared-system Planner), giving the slack baseline and the
-//      sequential-deployment comparison point.
+//      sequential-deployment comparison point. Memoized per CoMapper: a
+//      repeated (model, batch, options) on the same system reuses its solo
+//      mapping and latency without planning again.
 //   2. Round 1: tenants in deadline-slack order (most urgent first; the
 //      mapf-het normalized-slack rule, priority breaking ties) each replan
 //      the whole union with their peers expressed as constraints — step 1
@@ -21,7 +23,10 @@
 //   3. Rounds 2+: the same sweep, adopting a tenant's replan only when the
 //      global score — lexicographic (priority-weighted SLO violation
 //      seconds, makespan) — strictly improves; stops early when a full
-//      round adopts nothing.
+//      round adopts nothing. A replan reads only its peers' accelerators
+//      and pins, so a tenant whose peer inputs are unchanged since its last
+//      replan, and whose last score would not improve the current one,
+//      skips the replan: a recompute would reach the same decision.
 //   4. Steal round: tenants still missing their SLO replan once more with
 //      the peers that comfortably meet theirs unlocked, letting an urgent
 //      tenant displace ("steal from") a generous one; adopted only on
@@ -31,10 +36,16 @@
 // CostTable admission (accel/capability.h) gates every candidate list, and
 // an unplaceable tenant surfaces as CapabilityError before any round runs.
 //
-// Thread safety: co_map builds all mutable state per call; concurrent
-// co_map calls on one CoMapper are safe (the shared Planner is itself
-// thread-safe). The borrowed SystemConfig must stay unmutated while calls
-// are in flight, matching the Planner's shared-system rule.
+// Both levers are exact, and both are bypassed when the request sets a time
+// budget (budgeted results depend on wall time) or any hook or pointer in
+// its PlanOptions (DESIGN.md §11).
+//
+// Thread safety: co_map builds its round state per call; what calls share
+// is the Planner and the solo memo, both thread-safe stores, so concurrent
+// co_map calls on one CoMapper are safe. The borrowed SystemConfig must stay
+// unmutated while calls are in flight, matching the Planner's shared-system
+// rule (the memo keys on the system's bandwidth and fingerprints, so a
+// mutation between calls never serves a stale solo plan).
 #pragma once
 
 #include "core/planner.h"
@@ -95,6 +106,10 @@ struct CoMapResult {
   /// True when the steal round ran (some tenant missed after the sweeps).
   bool steal_ran = false;
   bool all_slos_met = true;
+  /// Tenant turns in the sweeps, and how many of them were answered by the
+  /// reuse rule instead of a replan. Diagnostics only: not on the wire.
+  std::uint32_t replans = 0;
+  std::uint32_t replans_reused = 0;
 
   [[nodiscard]] const TenantOutcome& outcome(std::string_view name) const;
 };
@@ -112,6 +127,10 @@ class CoMapper {
   explicit CoMapper(const SystemConfig& sys);
   /// Rvalue systems would dangle (the CoMapper stores a pointer).
   explicit CoMapper(SystemConfig&&) = delete;
+  ~CoMapper();  // out of line: the solo memo's types are incomplete here
+  /// Move only while no co_map call is in flight.
+  CoMapper(CoMapper&&) noexcept;
+  CoMapper& operator=(CoMapper&&) noexcept;
 
   /// Co-map the tenant set. Throws CapabilityError when some tenant's
   /// capability mask excludes every supporting accelerator, ConfigError on
@@ -119,12 +138,20 @@ class CoMapper {
   [[nodiscard]] CoMapResult co_map(const TenantSet& tenants,
                                    const CoMapOptions& options = {});
 
-  /// The internal shared-system Planner (solo-plan cache introspection).
+  /// The internal shared-system Planner. Only solo plans that miss or
+  /// bypass the memo reach it, so its hit/miss counters show memo misses.
   [[nodiscard]] const Planner& planner() const noexcept { return planner_; }
 
  private:
+  struct SoloKey;
+  struct SoloKeyHash;
+  struct SoloPlan;
+
   const SystemConfig* sys_;
   Planner planner_;
+  /// Solo plans by (model, batch, options, system state), bounded like the
+  /// Planner's sessions.
+  SessionStore<SoloKey, SoloPlan, SoloKeyHash> solo_;
 };
 
 }  // namespace h2h

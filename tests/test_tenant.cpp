@@ -2,7 +2,9 @@
 
 #include <bit>
 #include <limits>
+#include <thread>
 
+#include "core/plan_options.h"
 #include "core/planner.h"
 #include "tenant/co_mapper.h"
 #include "test_helpers.h"
@@ -387,6 +389,172 @@ TEST(CoMapGridPin, TenantGridIsBitIdentical) {
   EXPECT_GT(adopted_in_sweep, 0u);
   EXPECT_GT(stole, 0u);
   EXPECT_LT(stole, row);
+}
+
+/// Three random tenant graphs on two accelerators whose 6 MiB of DRAM hold
+/// only a few weights, so a tenant's step-2 knapsack pins and unpins its
+/// peers' layers. Here a round-skip rule that ignores peer pins, or skips
+/// whenever nothing was adopted since the tenant's last turn, ends the
+/// sweeps a round early. Recorded, like kGridPins, on the code before
+/// round reuse existed.
+TEST(CoMapGridPin, TightDramRandomSetIsBitIdentical) {
+  // clang-format off
+  constexpr GridPin kPin = {3, true, 0xa893878497961176ull, 0x1.4869213778467p-7, 0x1.ba7fd37fc9c94p-7, 0x1.39510b23a86d2p-5, 0xbfbf57a16b912c20ull};
+  // clang-format on
+  Rng rng(525);
+  std::vector<ModelGraph> graphs;
+  for (int g = 0; g < 3; ++g)
+    graphs.push_back(testing::make_random_model(rng));
+  std::vector<TenantRequest> reqs(3);
+  for (std::size_t i = 0; i < reqs.size(); ++i) {
+    reqs[i].name = "t" + std::to_string(i);
+    reqs[i].graph = &graphs[i];
+    reqs[i].slo_s = 1e-5 * static_cast<double>(1 + i);  // always missed
+    reqs[i].priority = static_cast<std::uint32_t>(1 + i);
+  }
+  const SystemConfig sys = testing::make_uniform_system(2, 1e9, mib(6));
+  const CoMapResult r = CoMapper(sys).co_map(TenantSet(reqs));
+  EXPECT_EQ(grid_row(grid_pin(r)), grid_row(kPin));
+}
+
+// ------------------------------------------------------ reuse and solo memo
+
+/// The tentpole fixture's three contending tenants (see
+/// CoMappingMeetsSlosSequentialMisses).
+[[nodiscard]] TenantSet contending_set() {
+  return TenantSet({tenant("cam", ZooModel::CasiaSurf, 0.012, 3),
+                    tenant("act", ZooModel::CnnLstm, 0.010, 2),
+                    tenant("emo", ZooModel::MoCap, 0.010, 1)});
+}
+
+/// Every pinned value of the grid plus the solo and sequential figures
+/// (which are where a stale solo plan would show first).
+[[nodiscard]] std::string co_map_digest(const CoMapResult& r) {
+  std::string out = grid_row(grid_pin(r));
+  out += strformat(" seq %a/%a", r.seq_makespan_s, r.seq_violation_s);
+  for (const TenantOutcome& t : r.tenants)
+    out += strformat(" %s %a/%a", t.name.c_str(), t.solo_latency_s,
+                     t.seq_latency_s);
+  return out;
+}
+
+TEST(CoMapperMemoTest, SoloMemoKeysOnEveryPlanOption) {
+  const SystemConfig sys = SystemConfig::standard(BandwidthSetting::Mid);
+  const TenantSet set({tenant("a", ZooModel::Vfs, 0.02, 2),
+                       tenant("b", ZooModel::CnnLstm, 0.01)});
+  CoMapper shared(sys);
+  const auto planned = [&shared] {
+    return shared.planner().cache_hits() + shared.planner().cache_misses();
+  };
+  const std::string base = co_map_digest(shared.co_map(set));
+
+  std::vector<CoMapOptions> variants(4);
+  ASSERT_FALSE(apply_plan_option(variants[0].plan, "objective", "edp"));
+  ASSERT_FALSE(apply_plan_option(variants[1].plan, "knapsack", "greedy"));
+  ASSERT_FALSE(apply_plan_option(variants[2].plan, "remap", "false"));
+  variants[3].plan.remap.max_passes = 1;  // a field outside the option table
+  for (std::size_t v = 0; v < variants.size(); ++v) {
+    const std::string fresh =
+        co_map_digest(CoMapper(sys).co_map(set, variants[v]));
+    // First time: a memo miss per tenant (the options are part of the key),
+    // so the solo plans run through the Planner.
+    const std::uint64_t before = planned();
+    EXPECT_EQ(co_map_digest(shared.co_map(set, variants[v])), fresh)
+        << "variant " << v;
+    EXPECT_EQ(planned(), before + set.size()) << "variant " << v;
+  }
+  // The default request still hits its own entry.
+  const std::uint64_t before = planned();
+  EXPECT_EQ(co_map_digest(shared.co_map(set)), base);
+  EXPECT_EQ(planned(), before);
+}
+
+TEST(CoMapperMemoTest, SystemMutationBetweenCallsMissesTheMemo) {
+  SystemConfig sys = SystemConfig::standard(BandwidthSetting::Mid);
+  const TenantSet set({tenant("a", ZooModel::Vfs, 0.02, 2),
+                       tenant("b", ZooModel::CnnLstm, 0.01)});
+  CoMapper shared(sys);
+  (void)shared.co_map(set);
+  sys.set_bw_acc(bandwidth_value(BandwidthSetting::LowMinus));
+  const CoMapResult r = shared.co_map(set);
+  EXPECT_EQ(co_map_digest(r), co_map_digest(CoMapper(sys).co_map(set)));
+  // Lose the accelerator running the first tenant's first placed layer.
+  const TenantSpan a = r.outcome("a").span;
+  AccId victim;
+  for (std::uint32_t l = a.begin; l < a.end && !victim.valid(); ++l)
+    if (!r.mapping.acc_of(LayerId{l}).is_host())
+      victim = r.mapping.acc_of(LayerId{l});
+  sys.set_available(victim, false);
+  EXPECT_EQ(co_map_digest(shared.co_map(set)),
+            co_map_digest(CoMapper(sys).co_map(set)));
+}
+
+TEST(CoMapperMemoTest, RepeatedRequestReusesSoloPlansAndRounds) {
+  const SystemConfig sys = SystemConfig::standard(BandwidthSetting::LowMinus);
+  const TenantSet set = contending_set();
+  CoMapper co(sys);
+  const CoMapResult first = co.co_map(set);
+  // The reuse rule answers some turns of this set's sweeps; a lever that
+  // silently switched off would read 0 here.
+  EXPECT_GT(first.replans_reused, 0u);
+  EXPECT_LT(first.replans_reused, first.replans);
+  const std::uint64_t planned =
+      co.planner().cache_hits() + co.planner().cache_misses();
+  EXPECT_EQ(planned, set.size());
+
+  const CoMapResult again = co.co_map(set);
+  EXPECT_EQ(co_map_digest(again), co_map_digest(first));
+  EXPECT_EQ(again.replans, first.replans);
+  EXPECT_EQ(again.replans_reused, first.replans_reused);
+  // Every solo plan came from the memo: the Planner saw no request.
+  EXPECT_EQ(co.planner().cache_hits() + co.planner().cache_misses(), planned);
+}
+
+TEST(CoMapperMemoTest, BudgetedRequestBypassesBothMemos) {
+  const SystemConfig sys = SystemConfig::standard(BandwidthSetting::LowMinus);
+  const TenantSet set = contending_set();
+  CoMapper co(sys);
+  (void)co.co_map(set);  // fills the solo memo
+  const std::uint64_t planned =
+      co.planner().cache_hits() + co.planner().cache_misses();
+
+  CoMapOptions budgeted;
+  budgeted.plan.time_budget_s = 60.0;
+  const CoMapResult r = co.co_map(set, budgeted);
+  EXPECT_EQ(r.replans_reused, 0u);
+  EXPECT_GT(r.replans, 0u);
+  EXPECT_EQ(co.planner().cache_hits() + co.planner().cache_misses(),
+            planned + set.size());
+}
+
+TEST(CoMapperConcurrency, SharedMapperMatchesFreshMappers) {
+  const SystemConfig sys = SystemConfig::standard(BandwidthSetting::Mid);
+  const std::vector<TenantSet> sets = {
+      contending_set(),
+      TenantSet({tenant("a", ZooModel::Vfs, 0.02, 2),
+                 tenant("b", ZooModel::CnnLstm, 0.01)}),
+      TenantSet({tenant("a", ZooModel::FaceBag, 0.02),
+                 tenant("b", ZooModel::MoCap, 0.005, 3)}),
+      TenantSet({tenant("a", ZooModel::CasiaSurf, 0.01, 2),
+                 tenant("b", ZooModel::FaceBag),
+                 tenant("c", ZooModel::MoCap, 0.01)})};
+  std::vector<std::string> expected;
+  for (const TenantSet& set : sets)
+    expected.push_back(co_map_digest(CoMapper(sys).co_map(set)));
+
+  // Each thread co-maps its own set twice (the second call reads the memo
+  // while the other threads fill it); worker threads never touch gtest.
+  CoMapper shared(sys);
+  std::vector<std::vector<std::string>> got(sets.size());
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < sets.size(); ++t)
+    threads.emplace_back([&, t] {
+      for (int rep = 0; rep < 2; ++rep)
+        got[t].push_back(co_map_digest(shared.co_map(sets[t])));
+    });
+  for (std::thread& th : threads) th.join();
+  for (std::size_t t = 0; t < sets.size(); ++t)
+    for (const std::string& g : got[t]) EXPECT_EQ(g, expected[t]) << t;
 }
 
 }  // namespace
