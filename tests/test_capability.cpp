@@ -103,9 +103,11 @@ TEST(CapabilityTest, MaskFiltersCandidatesAndCostCells) {
     }
     // Excluded accelerators lose their supported bit too, so step 4's
     // neighbour generator and Mapping::validate see the same admission rule.
-    for (const AccId a : costs.supporting(layer.kind))
-      if (!can_serve(sys.capabilities(a), kCapBigMem))
+    for (const AccId a : costs.supporting(layer.kind)) {
+      if (!can_serve(sys.capabilities(a), kCapBigMem)) {
         EXPECT_FALSE(costs.supported(id, a));
+      }
+    }
   }
 }
 

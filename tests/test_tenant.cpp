@@ -181,6 +181,14 @@ TEST(CoMapperTest, SingleTenantIsBitIdenticalToPlanner) {
   }
 }
 
+/// Three tenants contending for the shared boards (the tentpole fixture
+/// below runs them at Low- bandwidth).
+[[nodiscard]] TenantSet contending_set() {
+  return TenantSet({tenant("cam", ZooModel::CasiaSurf, 0.012, 3),
+                    tenant("act", ZooModel::CnnLstm, 0.010, 2),
+                    tenant("emo", ZooModel::MoCap, 0.010, 1)});
+}
+
 /// The tentpole fixture: three tenants contending at Low- bandwidth.
 /// Sequential deployment (each planned as if alone) leaves "act" and "emo"
 /// queued behind "cam" on the shared boards and both miss their SLOs;
@@ -189,10 +197,7 @@ TEST(CoMapperTest, SingleTenantIsBitIdenticalToPlanner) {
 TEST(CoMapperTest, CoMappingMeetsSlosSequentialMisses) {
   const SystemConfig sys = SystemConfig::standard(BandwidthSetting::LowMinus);
   CoMapper co(sys);
-  const TenantSet set({tenant("cam", ZooModel::CasiaSurf, 0.012, 3),
-                       tenant("act", ZooModel::CnnLstm, 0.010, 2),
-                       tenant("emo", ZooModel::MoCap, 0.010, 1)});
-  const CoMapResult r = co.co_map(set);
+  const CoMapResult r = co.co_map(contending_set());
 
   EXPECT_GT(r.seq_violation_s, 0.0);  // sequential planning misses SLOs
   EXPECT_DOUBLE_EQ(r.violation_s, 0.0);
@@ -418,14 +423,6 @@ TEST(CoMapGridPin, TightDramRandomSetIsBitIdentical) {
 }
 
 // ------------------------------------------------------ reuse and solo memo
-
-/// The tentpole fixture's three contending tenants (see
-/// CoMappingMeetsSlosSequentialMisses).
-[[nodiscard]] TenantSet contending_set() {
-  return TenantSet({tenant("cam", ZooModel::CasiaSurf, 0.012, 3),
-                    tenant("act", ZooModel::CnnLstm, 0.010, 2),
-                    tenant("emo", ZooModel::MoCap, 0.010, 1)});
-}
 
 /// Every pinned value of the grid plus the solo and sequential figures
 /// (which are where a stale solo plan would show first).
