@@ -213,4 +213,17 @@ SystemConfig make_random_system(Rng& rng) {
   return SystemConfig(std::move(accs), host);
 }
 
+std::uint64_t mapping_fnv(const ModelGraph& model, const Mapping& mapping) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto fold = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i)
+      h = (h ^ ((v >> (8 * i)) & 0xFFu)) * 1099511628211ull;
+  };
+  for (const LayerId id : model.all_layers()) {
+    fold(mapping.acc_of(id).value);
+    fold(mapping.seq_of(id));
+  }
+  return h;
+}
+
 }  // namespace h2h::testing

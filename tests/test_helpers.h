@@ -86,4 +86,9 @@ namespace h2h::testing {
 /// (every layer kind supported by at least one accelerator).
 [[nodiscard]] SystemConfig make_random_system(Rng& rng);
 
+/// FNV-1a over the accelerator and sequence slot of every layer: a compact
+/// fingerprint for tests that pin whole mappings bit for bit.
+[[nodiscard]] std::uint64_t mapping_fnv(const ModelGraph& model,
+                                        const Mapping& mapping);
+
 }  // namespace h2h::testing

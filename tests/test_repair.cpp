@@ -474,5 +474,171 @@ TEST(RepairEngineTest, CoMappedUnionRepairReassessesTenantSlos) {
   EXPECT_DOUBLE_EQ(worst, res.post_latency_s);
 }
 
+// ---- Repair pin -----------------------------------------------------------
+
+/// One repair of the compounding fault script below, as pinned. The post
+/// latency is compared bit for bit (through its %a spelling).
+struct RepairPin {
+  std::uint32_t acc;  // the event's accelerator
+  bool repaired;
+  std::uint64_t mapping_fnv;  // live acc + seq of every layer afterwards
+  double post_latency_s;
+  std::size_t layers_moved;
+  Bytes weight_bytes_moved;
+  bool used_fallback;
+};
+
+/// The row as it is spelled in kRepairPins below.
+[[nodiscard]] std::string repair_row(const RepairPin& p) {
+  return strformat("{%u, %s, 0x%016llxull, %a, %zu, %llu, %s},", p.acc,
+                   p.repaired ? "true" : "false",
+                   static_cast<unsigned long long>(p.mapping_fnv),
+                   p.post_latency_s, p.layers_moved,
+                   static_cast<unsigned long long>(p.weight_bytes_moved),
+                   p.used_fallback ? "true" : "false");
+}
+
+/// Seven rows per (bandwidth, model) of the test below: the six zoo models
+/// at 0.125 GB/s, then the same six at 0.5 GB/s.
+// clang-format off
+constexpr RepairPin kRepairPins[] = {
+    {8, true, 0xd8d7f3ac1ca8ddb1ull, 0x1.30297e4de8c61p-3, 67, 44858752, false},
+    {6, true, 0x3b755b7e4f6fa636ull, 0x1.71059b28ceea2p-3, 84, 47561088, false},
+    {2, true, 0x2a8f9ba8e03dc5b0ull, 0x1.bb75f6a56c3e7p-3, 62, 28706304, false},
+    {8, true, 0x219106f8be011cbdull, 0x1.57338c27757e3p-3, 164, 89553408, false},
+    {6, true, 0xe8d21bda98c89538ull, 0x1.8e602ee469242p-3, 96, 53742592, false},
+    {2, true, 0x9881a4567e0124b5ull, 0x1.7d11f1be419bdp-3, 9, 5548544, false},
+    {8, true, 0x9960734b7d59db78ull, 0x1.86577a51a1d54p-3, 74, 47492096, false},
+    {8, true, 0x1cafc47d3cbd758eull, 0x1.5c68755653c51p-7, 29, 16005376, false},
+    {6, true, 0x5e4fdbd4b603760aull, 0x1.8653f56da2e8dp-7, 34, 18083584, false},
+    {2, true, 0x3aeca927a7c1c2a3ull, 0x1.751b964e505ffp-7, 25, 10991104, false},
+    {8, true, 0x15876c16c474a387ull, 0x1.e1d30c6799166p-8, 54, 18786304, false},
+    {6, true, 0x38b30dbe5d3a8485ull, 0x1.03b07d39f30cdp-7, 9, 4344576, false},
+    {2, true, 0x3a81291963cb71f5ull, 0x1.1b5a5edd5dae9p-7, 68, 22100224, true},
+    {8, true, 0x1cafc47d3cbd758eull, 0x1.5c68755653c51p-7, 29, 16005376, false},
+    {6, true, 0xd8b6c19ca61259b0ull, 0x1.373e25b390125p-4, 33, 8077184, false},
+    {2, true, 0xf612c95b42bb62b0ull, 0x1.373e25b390125p-4, 18, 7823872, false},
+    {0, true, 0xec81029fa5f931f2ull, 0x1.373e25b390125p-4, 4, 0, false},
+    {6, true, 0x7433442166932536ull, 0x1.373e25b390125p-4, 33, 8077184, false},
+    {2, true, 0x7433442166932536ull, 0x1.373e25b390125p-4, 0, 0, false},
+    {0, true, 0x7433442166932536ull, 0x1.373e25b390125p-4, 0, 0, false},
+    {6, true, 0xd8b6c19ca61259b0ull, 0x1.373e25b390125p-4, 33, 8077184, false},
+    {8, true, 0x8d0c29491cb3253cull, 0x1.fa56b9088abc5p-8, 35, 23045184, false},
+    {6, true, 0x0213f6a2e276ca78ull, 0x1.27651d743d4ccp-7, 31, 22482432, false},
+    {2, true, 0xdfa4d5ea84297363ull, 0x1.45d9842579468p-7, 16, 10939488, false},
+    {8, true, 0x8ad7b9eee75930e4ull, 0x1.d83f966d5e7aep-8, 59, 34659008, false},
+    {6, true, 0x4a3db087b2794661ull, 0x1.f2f92ebce4d5fp-8, 81, 38701888, true},
+    {2, true, 0x19adbfee8fddcf29ull, 0x1.0f9d206f729b4p-7, 16, 7256640, false},
+    {8, true, 0x620be95b4ede337bull, 0x1.3c17684376403p-7, 37, 23202816, false},
+    {11, true, 0x8fc8b5d0b0c4af8full, 0x1.0448e19b3b046p-4, 8, 26136192, false},
+    {9, true, 0xd92d9c1de4fb4252ull, 0x1.04e0f20f9941fp-4, 5, 1230080, false},
+    {5, true, 0xd92d9c1de4fb4252ull, 0x1.04e5f2212e8d3p-4, 0, 0, false},
+    {11, true, 0x185aae5f92f93fd2ull, 0x1.51cd3ddf829a4p-8, 7, 26136192, false},
+    {9, true, 0x185aae5f92f93fd2ull, 0x1.51cd3ddf829a4p-8, 0, 0, false},
+    {5, true, 0xbcef4d3f97df1e52ull, 0x1.4e6306949e25fp-8, 2, 0, false},
+    {11, true, 0x8fc8b5d0b0c4af8full, 0x1.0448e19b3b046p-4, 8, 26136192, false},
+    {11, true, 0x18b0eff67308e5cdull, 0x1.460ebcfbbdf08p-5, 12, 14700812, true},
+    {9, true, 0xe019f89f1293564bull, 0x1.4f683a799f497p-5, 6, 3710988, false},
+    {5, true, 0x19d82b19970f6addull, 0x1.42313261607c7p-4, 7, 1643020, false},
+    {11, true, 0x5f6aa54faaa246c5ull, 0x1.11893b5885ff9p-8, 10, 14577676, false},
+    {9, true, 0xb06e5d9769ef5dcdull, 0x1.76129649d47f6p-9, 3, 2067968, false},
+    {5, true, 0xb06e5d9769ef5dcdull, 0x1.76129649d47f6p-9, 0, 0, false},
+    {11, true, 0x18b0eff67308e5cdull, 0x1.460ebcfbbdf08p-5, 10, 14577676, true},
+    {8, true, 0x238ef285d3884b35ull, 0x1.3d028a9e12e4ep-4, 79, 48624896, false},
+    {0, true, 0x31866fb23a4c6ff5ull, 0x1.627b33f0fbdedp-4, 76, 53696768, false},
+    {6, true, 0xea472826d5697a31ull, 0x1.a19dab2617467p-4, 76, 33244544, false},
+    {8, true, 0xb558985a31a707baull, 0x1.332ddc56dfad1p-4, 168, 85275392, false},
+    {0, true, 0x9a402fc1b804d074ull, 0x1.2555c6cb06853p-4, 60, 23237248, false},
+    {6, true, 0x9555858441bc40b4ull, 0x1.23caec455a875p-4, 82, 55391744, false},
+    {8, true, 0xbd8b521e5cbef9b4ull, 0x1.491eb630f6e5ap-4, 77, 50302848, false},
+    {8, true, 0x248e4917c09a6703ull, 0x1.742a33a3c1e2ep-8, 27, 17391616, false},
+    {6, true, 0x904631c0f38c35c1ull, 0x1.7ecc6495cf837p-8, 32, 16374400, false},
+    {0, true, 0xa437eadd61321549ull, 0x1.7feb047aee935p-8, 14, 1270784, false},
+    {8, true, 0x1847a9e92a51dba1ull, 0x1.42de26df7a2e7p-8, 58, 20344320, false},
+    {6, true, 0x75520f9306d6377dull, 0x1.3e3454fbfdd2cp-8, 31, 11821312, false},
+    {0, true, 0x75520f9306d6377dull, 0x1.3e3454fbfdd2cp-8, 0, 0, false},
+    {8, true, 0x44fb11e419cfb564ull, 0x1.3c5c5be9b0dap-8, 66, 25048320, true},
+    {6, true, 0xd8b6c19ca61259b0ull, 0x1.2d46e6217ed83p-4, 33, 8077184, false},
+    {2, true, 0xf612c95b42bb62b0ull, 0x1.2d46e6217ed83p-4, 18, 7823872, false},
+    {0, true, 0xec81029fa5f931f2ull, 0x1.2d46e6217ed83p-4, 4, 0, false},
+    {6, true, 0x7433442166932536ull, 0x1.2d46e6217ed83p-4, 33, 8077184, false},
+    {2, true, 0x7433442166932536ull, 0x1.2d46e6217ed83p-4, 0, 0, false},
+    {0, true, 0x7433442166932536ull, 0x1.2d46e6217ed83p-4, 0, 0, false},
+    {6, true, 0xd8b6c19ca61259b0ull, 0x1.2d46e6217ed83p-4, 33, 8077184, false},
+    {8, true, 0x3696116620a46667ull, 0x1.3d40605b143efp-8, 32, 21670656, false},
+    {6, true, 0x1459699e00ef5267ull, 0x1.638a946e8cfc2p-8, 34, 20538432, false},
+    {2, true, 0x9575d804a88b5b20ull, 0x1.9261576169554p-8, 22, 13711200, false},
+    {8, true, 0xdb35b8d634ae6da4ull, 0x1.47e6fbab2255fp-8, 86, 45729920, false},
+    {6, true, 0x63e0b8c6a1a69410ull, 0x1.1dd2c415071e1p-8, 41, 20711424, false},
+    {2, true, 0x66b444fb1642cdafull, 0x1.23d0f03eb61cap-8, 18, 7588800, false},
+    {8, true, 0x57019951bde3c627ull, 0x1.5aedfd70782bep-8, 39, 25525184, false},
+    {11, true, 0x8fc8b5d0b0c4af8full, 0x1.0431ba8d2f281p-4, 8, 26136192, false},
+    {9, true, 0xd92d9c1de4fb4252ull, 0x1.0471d0329386cp-4, 5, 1230080, false},
+    {5, true, 0x485f9efb6aa4add2ull, 0x1.0448e19b3b046p-4, 6, 19799680, false},
+    {11, true, 0xbcef4d3f97df1e52ull, 0x1.ae8e8b611f3ap-9, 8, 26136192, false},
+    {9, true, 0xbcef4d3f97df1e52ull, 0x1.ae8e8b611f3ap-9, 0, 0, false},
+    {5, true, 0xbcef4d3f97df1e52ull, 0x1.ae8e8b611f3ap-9, 0, 0, false},
+    {11, true, 0x8fc8b5d0b0c4af8full, 0x1.0431ba8d2f281p-4, 8, 26136192, false},
+    {11, true, 0x18b0eff67308e5cdull, 0x1.4414dad5a12efp-5, 11, 14577676, true},
+    {9, true, 0x564d81ce46494888ull, 0x1.447cbf3ab5551p-5, 6, 1643020, false},
+    {5, true, 0x5be431c95f99cb82ull, 0x1.e5541c6427157p-5, 8, 9610252, false},
+    {11, true, 0x60a7934b5e279c80ull, 0x1.97fad6007cd5ep-9, 9, 12509708, false},
+    {9, true, 0x11a4ce319f90c18cull, 0x1.4780e05741a84p-9, 1, 2067968, false},
+    {5, true, 0x11a4ce319f90c18cull, 0x1.4780e05741a84p-9, 0, 0, false},
+    {11, true, 0x18b0eff67308e5cdull, 0x1.4414dad5a12efp-5, 11, 14577676, true},
+};
+// clang-format on
+
+/// Every zoo model at 0.125 and 0.5 GB/s runs one compounding fault script
+/// on one engine (fallback on): lose the busiest accelerator, degrade the
+/// links of the next busiest, derate the next, then return, restore and
+/// re-rate them, and finally lose the busiest again. Each event's target is
+/// read off the live mapping, so the script follows the repairs. The values
+/// were recorded before the warm repair's step-1/2/4 constraints moved into
+/// the shared freeze_outside helper; every warm repair, fallback and
+/// migration count must stay bit-identical.
+TEST(RepairPin, ZooFaultScriptsAreBitIdentical) {
+  std::size_t row = 0;
+  std::size_t fallbacks = 0;
+  for (const double gbps : {0.125, 0.5}) {
+    for (const ZooInfo& info : zoo_catalog()) {
+      const ModelGraph model = make_model(info.id);
+      RepairEngine engine(model, SystemConfig::standard(gbps * 1e9));
+      (void)engine.plan_initial();
+      const auto busiest = [&] {
+        return busiest_acc(engine.mapping(), engine.system());
+      };
+      const AccId lost = busiest();
+      const auto step = [&](const FaultEvent& event) {
+        const RepairResult res = engine.apply(event);
+        const RepairPin got{
+            event.acc.value,
+            res.outcome == RepairOutcome::Repaired,
+            testing::mapping_fnv(model, engine.mapping()),
+            res.post_latency_s,
+            res.layers_moved,
+            res.weight_bytes_moved,
+            res.used_fallback};
+        fallbacks += got.used_fallback ? 1 : 0;
+        ASSERT_LT(row, std::size(kRepairPins));
+        EXPECT_EQ(repair_row(got), repair_row(kRepairPins[row]))
+            << info.key << " at " << gbps << " GB/s, event " << row % 7;
+        ++row;
+      };
+      step(FaultEvent::lost(lost));
+      const AccId degraded = busiest();
+      step(FaultEvent::link_degraded(degraded, 0.25));
+      const AccId derated = busiest();
+      step(FaultEvent::spec_derated(derated, 0.5));
+      step(FaultEvent::returned(lost));
+      step(FaultEvent::link_restored(degraded));
+      step(FaultEvent::spec_derated(derated, 1.0));
+      step(FaultEvent::lost(busiest()));
+    }
+  }
+  EXPECT_EQ(row, std::size(kRepairPins));
+  EXPECT_GT(fallbacks, 0u);
+}
+
 }  // namespace
 }  // namespace h2h
