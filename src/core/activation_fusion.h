@@ -18,6 +18,7 @@ struct FusionOptions {
   /// Require fused activation buffers to fit in M_acc minus pinned weights.
   /// The ablation bench compares against unbounded fusion.
   bool enforce_capacity = true;
+  bool operator==(const FusionOptions&) const = default;
 };
 
 struct FusionStats {

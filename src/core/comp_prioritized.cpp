@@ -31,6 +31,8 @@ Mapping computation_prioritized_mapping(const Simulator& sim,
   const SystemConfig& sys = sim.sys();
   const CostTable& costs = sim.costs();
   H2H_EXPECTS(options.max_candidates > 0);
+  H2H_EXPECTS(options.preferred == nullptr ||
+              options.preferred->size() >= model.layer_count());
   if (!is_dag(model.graph()))
     throw ConfigError(strformat("model '%s' has a dependency cycle",
                                 model.name().c_str()));
@@ -51,11 +53,10 @@ Mapping computation_prioritized_mapping(const Simulator& sim,
   double makespan = 0.0;
 
   // Per-wave scratch, reused across waves. Candidate accelerators are spans
-  // into the cost table's per-kind lists (or into pref_storage for the
-  // dynamic-modality preference hook); durations are gathered from each
-  // layer's contiguous cost-table row in one pass.
+  // into the cost table's per-kind lists (or into the preference vector);
+  // durations are gathered from each layer's contiguous cost-table row in
+  // one pass.
   std::vector<LayerId> front;
-  std::vector<AccId> pref_storage;
   std::vector<std::span<const AccId>> cand;
   std::vector<std::uint32_t> dur_offset;
   std::vector<double> durations;
@@ -79,21 +80,15 @@ Mapping computation_prioritized_mapping(const Simulator& sim,
     dur_offset.clear();
     durations.clear();
     node_ready.clear();
-    pref_storage.clear();
-    pref_storage.reserve(front.size());  // spans into it must stay valid
 
     for (const LayerId id : front) {
       const Layer& layer = model.layer(id);
       std::span<const AccId> accs;
-      // Placement preference (dynamic-modality extension §4.5): if it names
-      // an accelerator that supports the layer, that is the only candidate.
-      if (options.preferred) {
-        if (const std::optional<AccId> pref = options.preferred(id);
-            pref.has_value() && sys.contains(*pref) &&
-            costs.supported(id, *pref)) {
-          pref_storage.push_back(*pref);
-          accs = {&pref_storage.back(), 1};
-        }
+      // Placement preference: if it names an accelerator that supports the
+      // layer, that is the only candidate (host names none).
+      if (options.preferred != nullptr) {
+        const AccId& pref = (*options.preferred)[id.value];
+        if (sys.contains(pref) && costs.supported(id, pref)) accs = {&pref, 1};
       }
       if (accs.empty()) {
         accs = costs.candidates(id, layer.kind);

@@ -18,10 +18,12 @@
 // (makespan, finish-sum) keep the assignment a mixed-radix loop with
 // choice[0] varying fastest enumerates first — the colexicographically
 // smallest choice vector (see comp_prioritized.cpp).
+//
+// An optional per-layer preference vector collapses a layer's candidates to
+// the one accelerator it names: dynamic modality (§4.5) prefers where a
+// layer's weights already live, and a frozen replan (freeze_outside in
+// core/planner.h) keeps every frozen layer where it is.
 #pragma once
-
-#include <functional>
-#include <optional>
 
 #include "system/simulator.h"
 
@@ -41,12 +43,16 @@ struct CompPrioritizedStats {
 struct CompPrioritizedOptions {
   /// Upper bound on enumerated assignments per frontier chunk.
   std::uint64_t max_candidates = 200000;
-  /// Optional placement preference (dynamic-modality extension §4.5): if it
-  /// returns an accelerator that supports the layer, that accelerator is the
-  /// only candidate considered.
-  std::function<std::optional<AccId>(LayerId)> preferred;
+  /// Optional placement preference, indexed by LayerId::value (size >= the
+  /// model's layer count when set): a layer whose entry names an accelerator
+  /// that supports it has that accelerator as its only candidate; host
+  /// means no preference. The dynamic-modality extension (§4.5) prefers
+  /// where weights already live; frozen replans (planner.h) keep frozen
+  /// layers in place.
+  const std::vector<AccId>* preferred = nullptr;
   /// Optional work-accounting sink.
   CompPrioritizedStats* stats = nullptr;
+  bool operator==(const CompPrioritizedOptions&) const = default;
 };
 
 /// Produce a complete mapping (and execution sequence) for the model.

@@ -49,19 +49,18 @@ DynamicModalityMapper::DynamicModalityMapper(const SystemConfig& sys,
     : options_(std::move(options)), planner_(sys) {}
 
 DynamicRemapResult DynamicModalityMapper::remap(const ModelGraph& variant) {
-  PlanOptions opts = options_;
-
-  // Preference hook: map a layer where its weights already live.
-  opts.step1.preferred = [this, &variant](LayerId id) -> std::optional<AccId> {
-    const auto it = resident_.find(variant.layer(id).name);
-    if (it == resident_.end()) return std::nullopt;
-    return it->second;
-  };
-
-  // Modified knapsack: resident weights are pinned first.
+  // Step 1 prefers the accelerator a layer's weights already live on, and
+  // the modified knapsack pins resident weights first.
+  std::vector<AccId> preferred(variant.layer_count(), AccId::host());
   std::vector<bool> force(variant.layer_count(), false);
-  for (const LayerId id : variant.all_layers())
-    force[id.value] = resident_.contains(variant.layer(id).name);
+  for (const LayerId id : variant.all_layers()) {
+    const auto it = resident_.find(variant.layer(id).name);
+    if (it == resident_.end()) continue;
+    preferred[id.value] = it->second;
+    force[id.value] = true;
+  }
+  PlanOptions opts = options_;
+  opts.step1.preferred = &preferred;
   opts.weight.force_pin = &force;
 
   // The round is the standard pipeline with the two hooks threaded through

@@ -5,7 +5,7 @@
 // Re-running H2H from scratch would re-load every weight; the extension
 // re-uses the previous round's buffered weights:
 //  1. step 1 prioritizes mapping a layer onto the accelerator that already
-//     holds its weights (preference hook), and
+//     holds its weights (the step-1 preference vector), and
 //  2. the knapsack is modified so that resident weights are pinned first
 //     ("part of the weight allocation is determined").
 //

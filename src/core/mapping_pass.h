@@ -70,7 +70,7 @@ using PassPipeline = std::vector<std::unique_ptr<MappingPass>>;
 // their historical step names.
 
 /// Step 1 — computation-prioritized mapping (§4.1). Seeds the mapping; the
-/// options carry the dynamic-modality placement-preference hook.
+/// options carry the optional per-layer placement preference.
 [[nodiscard]] std::unique_ptr<MappingPass> make_comp_prioritized_pass(
     CompPrioritizedOptions options = {},
     std::string name = "1: computation-prioritized");

@@ -5,8 +5,6 @@
 #include <string_view>
 #include <utility>
 
-#include "util/log.h"
-#include "util/str.h"
 
 namespace h2h {
 namespace {
@@ -127,6 +125,29 @@ PassPipeline make_default_pipeline(const PlanOptions& options,
   return pipeline;
 }
 
+Frozen freeze_outside(const Mapping& mapping, const LocalityPlan& plan,
+                      const std::vector<bool>& free) {
+  const std::size_t n = free.size();
+  Frozen f{std::vector<AccId>(n, AccId::host()), std::vector<bool>(n, false),
+           std::vector<bool>(n, false)};
+  for (std::uint32_t l = 0; l < n; ++l) {
+    if (free[l]) continue;
+    f.acc[l] = mapping.acc_of(LayerId{l});
+    f.pin[l] = plan.pinned(LayerId{l});
+    f.locked[l] = true;
+  }
+  return f;
+}
+
+PlanOptions frozen_options(PlanOptions options, const Frozen& frozen) {
+  options.step1.preferred = &frozen.acc;
+  // The step-4 probe re-runs step 2 internally, so it keeps the pins too.
+  options.weight.force_pin = &frozen.pin;
+  options.remap.weight.force_pin = &frozen.pin;
+  options.remap.locked = &frozen.locked;
+  return options;
+}
+
 PlanResponse run_passes(const Simulator& sim, const PassPipeline& pipeline,
                         std::optional<double> time_budget_s) {
   H2H_EXPECTS(!pipeline.empty());
@@ -150,18 +171,6 @@ PlanResponse run_passes(const Simulator& sim, const PassPipeline& pipeline,
 
   r.stopped_on_budget = ctx.stopped_on_budget;
   r.search_seconds = seconds_since(t0);
-
-  if (r.find_baseline() != nullptr) {
-    log_debug(strformat(
-        "H2H(%s): steps=%zu latency %.6fs -> %.6fs (%.1f%%), search %.3fs",
-        model.name().c_str(), r.steps.size(), r.baseline_result().latency,
-        r.final_result().latency, r.latency_vs_baseline() * 100.0,
-        r.search_seconds));
-  } else {
-    log_debug(strformat("H2H(%s): steps=%zu latency %.6fs, search %.3fs",
-                        model.name().c_str(), r.steps.size(),
-                        r.final_result().latency, r.search_seconds));
-  }
   return r;
 }
 
@@ -258,10 +267,6 @@ std::shared_ptr<Planner::Session> Planner::session_for(
   }
   s->sim.emplace(*s->model, *s->sys);  // builds the CostTable eagerly
   setup_seconds = seconds_since(t0);
-  log_debug(strformat("Planner: built session for '%s' (bw=%.3g batch=%u) "
-                      "in %.3fs",
-                      s->model->name().c_str(), s->sys->host().bw_acc, batch,
-                      setup_seconds));
   // Another thread may have built the same key meanwhile: the first insert
   // stays canonical and ours is discarded (this request still reports the
   // cold build it actually paid).

@@ -68,6 +68,7 @@ struct PlanOptions {
   /// Wall-clock budget for the whole search; the remapping pass stops
   /// cleanly when it is exhausted (PlanResponse::stopped_on_budget).
   std::optional<double> time_budget_s;
+  bool operator==(const PlanOptions&) const = default;
 };
 
 struct StepSnapshot {
@@ -162,6 +163,30 @@ struct PlanResponse {
 /// enabled.
 [[nodiscard]] PassPipeline make_default_pipeline(
     const PlanOptions& options, const Mapping* warm_start = nullptr);
+
+/// What a replan holds in place, per layer (indexed by LayerId::value):
+/// the accelerator step 1 keeps it on (host = free to choose), whether steps
+/// 2 and 4 keep its weights pinned, and whether step 4 may move it. Both
+/// co-mapping rounds (DESIGN.md §11) and live repair (§12) replan this way.
+struct Frozen {
+  std::vector<AccId> acc;
+  std::vector<bool> pin;
+  std::vector<bool> locked;
+  bool operator==(const Frozen&) const = default;
+};
+
+/// Freeze every layer outside `free` where `mapping` and `plan` have it: its
+/// accelerator, its pin flag, and locked. Free layers read host, unpinned,
+/// unlocked.
+[[nodiscard]] Frozen freeze_outside(const Mapping& mapping,
+                                    const LocalityPlan& plan,
+                                    const std::vector<bool>& free);
+
+/// `options` with step 1's preference, both force_pin masks and step 4's
+/// locked mask pointed at `frozen`, which must outlive every plan run with
+/// the result.
+[[nodiscard]] PlanOptions frozen_options(PlanOptions options,
+                                         const Frozen& frozen);
 
 /// Execute a pipeline on `sim`, recording a snapshot after every pass.
 /// This is the one pipeline driver — Planner, plan_once, and the baseline

@@ -67,6 +67,7 @@ struct RemapOptions {
   /// the check is skipped entirely then, so the unbudgeted hot path is
   /// unchanged.
   std::optional<std::chrono::steady_clock::time_point> deadline;
+  bool operator==(const RemapOptions&) const = default;
 };
 
 struct RemapStats {

@@ -30,6 +30,7 @@ struct WeightLocalityOptions {
   /// weights already resident on the accelerator are pinned first, before
   /// the knapsack distributes the remaining capacity).
   const std::vector<bool>* force_pin = nullptr;
+  bool operator==(const WeightLocalityOptions&) const = default;
 };
 
 /// Reusable buffers for the pass. The step-4 probe loop runs this pass per

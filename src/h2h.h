@@ -46,6 +46,5 @@
 #include "report/paper_tables.h"
 #include "util/csv.h"
 #include "util/error.h"
-#include "util/log.h"
 #include "util/str.h"
 #include "util/table.h"

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <utility>
 
 #include "util/error.h"
@@ -112,8 +111,7 @@ RepairResult RepairEngine::apply(const FaultEvent& event) {
   // accelerator can no longer run it (dead, or capability-excluded by the
   // rebuilt candidate sets) must move.
   const Mapping& old = *mapping_;
-  const std::size_t layer_count = model_.layer_count();
-  std::vector<bool> cone(layer_count, false);
+  std::vector<bool> cone(model_.layer_count(), false);
   std::size_t evicted = 0;
   for (const LayerId id : model_.all_layers()) {
     if (costs->is_input(id)) continue;
@@ -173,31 +171,13 @@ RepairResult RepairEngine::apply(const FaultEvent& event) {
   res.faulted_latency_s =
       evicted == 0 ? sim_.simulate(old, *plan_).latency : kInf;
 
-  // 4. Warm repair: re-plan with everything outside the cone forced to its
-  // current placement (step 1), keeping its pins (step 2), and frozen
-  // (step 4) — the CoMapper constraint-replanning shape with the damage
-  // cone standing in for the active tenant span.
-  PlanOptions po = options_.plan;
-  const auto snapshot = std::make_shared<Mapping>(old);
-  const auto cone_ptr = std::make_shared<std::vector<bool>>(cone);
-  po.step1.preferred = [snapshot,
-                        cone_ptr](LayerId id) -> std::optional<AccId> {
-    if ((*cone_ptr)[id.value]) return std::nullopt;
-    const AccId a = snapshot->acc_of(id);
-    return a.is_host() ? std::nullopt : std::optional<AccId>(a);
-  };
-  std::vector<bool> pin(layer_count, false);
-  std::vector<bool> locked(layer_count, false);
-  for (std::uint32_t l = 0; l < layer_count; ++l) {
-    if (cone[l]) continue;
-    locked[l] = true;
-    pin[l] = plan_->pinned(LayerId{l});
-  }
-  po.weight.force_pin = &pin;
-  po.remap.weight.force_pin = &pin;
-  po.remap.locked = &locked;
-  PlanResponse repaired =
-      run_passes(sim_, make_default_pipeline(po), po.time_budget_s);
+  // 4. Warm repair: re-plan with everything outside the cone frozen where
+  // it is — the CoMapper's replan shape, with the damage cone standing in
+  // for the active tenant span.
+  const Frozen frozen = freeze_outside(old, *plan_, cone);
+  PlanResponse repaired = run_passes(
+      sim_, make_default_pipeline(frozen_options(options_.plan, frozen)),
+      options_.plan.time_budget_s);
   double repaired_latency = repaired.final_result().latency;
 
   // 5. Fallback: when the warm repair lands far from the best reference we

@@ -15,11 +15,11 @@
 //    may move), and — for improving events — every layer that would now run
 //    strictly faster on the event accelerator (step-1 measure).
 //
-// Outside the cone, step 1 is forced to the current placement via the
-// placement-preference hook, step 2 keeps current pins via force_pin, and
-// step 4 is frozen via the locked mask — the exact constraint-replanning
-// shape the multi-tenant CoMapper rounds use, with "damage cone" standing
-// in for "active tenant span". When the warm repair's latency exceeds a
+// Everything outside the cone is frozen where it is (freeze_outside and
+// frozen_options in core/planner.h): step 1 keeps its accelerator, steps 2
+// and 4 keep its pins, and step 4 never moves it — the same frozen replan
+// the multi-tenant CoMapper rounds run, with "damage cone" standing in for
+// "active tenant span". When the warm repair's latency exceeds a
 // configurable multiple of the best reference (the faulted latency when the
 // old mapping is still runnable, the pre-fault latency otherwise), a
 // from-scratch re-plan runs as fallback and wins if strictly better.

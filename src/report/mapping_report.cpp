@@ -11,7 +11,12 @@ namespace {
 
 /// Signed human_seconds: negative slack reads "-1.2 ms", not garbage.
 [[nodiscard]] std::string signed_seconds(double s) {
-  if (s < 0) return "-" + human_seconds(-s);
+  if (s < 0) {
+    // Appending (not "-" + ...) sidesteps a GCC 12 -Wrestrict false positive.
+    std::string out(1, '-');
+    out += human_seconds(-s);
+    return out;
+  }
   return human_seconds(s);
 }
 

@@ -31,21 +31,13 @@ struct Score {
 
 /// True when a co-map may reuse work whose result is already known: no
 /// wall-clock budget (budgeted results depend on timing) and no caller hook
-/// or pointer in the options (a reused result would not call or fill it).
+/// or pointer in the options (a reused result would not read or fill it).
 [[nodiscard]] bool reusable(const PlanOptions& o) noexcept {
-  return !o.time_budget_s && !o.step1.preferred && o.step1.stats == nullptr &&
-         o.weight.force_pin == nullptr && o.remap.weight.force_pin == nullptr &&
-         o.remap.locked == nullptr && !o.remap.deadline;
+  return !o.time_budget_s && o.step1.preferred == nullptr &&
+         o.step1.stats == nullptr && o.weight.force_pin == nullptr &&
+         o.remap.weight.force_pin == nullptr && o.remap.locked == nullptr &&
+         !o.remap.deadline;
 }
-
-/// What one tenant's replan reads of the current co-mapping: its peers'
-/// accelerators (the step-1 preference hook) and pin flags (force_pin).
-/// The tenant's own layers read as host / unpinned.
-struct PeerInputs {
-  std::vector<AccId> acc;
-  std::vector<bool> pin;
-  bool operator==(const PeerInputs&) const = default;
-};
 
 [[nodiscard]] Score score_of(const TenantSet& set,
                              const std::vector<double>& latency,
@@ -81,30 +73,15 @@ const TenantOutcome& CoMapResult::outcome(std::string_view name) const {
 }
 
 /// Everything a solo plan depends on besides the fixed system: the stamped
-/// model, its batch, the system's bandwidth and link/derate state, and every
-/// value field of PlanOptions (the hooks and pointers bypass the memo).
+/// model, its batch, the system's bandwidth and link/derate state, and all
+/// of PlanOptions (requests with hooks or pointers bypass the memo).
 struct CoMapper::SoloKey {
   std::uint64_t model;
   std::uint32_t batch;
   double bw_acc;
   std::uint64_t links_fp;
   std::uint64_t derate_fp;
-  std::uint64_t max_candidates;
-  KnapsackAlgo algo;
-  std::uint32_t max_dp_units;
-  bool enforce_capacity;
-  std::uint32_t max_passes;
-  double epsilon;
-  bool use_incremental;
-  bool use_delta_locality;
-  bool use_knapsack_cache;
-  RemapObjective objective;
-  KnapsackAlgo remap_algo;
-  std::uint32_t remap_max_dp_units;
-  bool remap_enforce_capacity;
-  bool run_remapping;
-  bool run_weight_locality;
-  bool run_fusion;
+  PlanOptions options;
   bool operator==(const SoloKey&) const = default;
 };
 
@@ -144,27 +121,9 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
   solo.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const ModelGraph& m = set.model(i);
-    const SoloKey key{model_fingerprint(m),
-                      m.batch(),
-                      sys_->host().bw_acc,
-                      sys_->links().fingerprint(),
-                      sys_->derate_fingerprint(),
-                      opt.step1.max_candidates,
-                      opt.weight.algo,
-                      opt.weight.max_dp_units,
-                      opt.fusion.enforce_capacity,
-                      opt.remap.max_passes,
-                      opt.remap.epsilon,
-                      opt.remap.use_incremental,
-                      opt.remap.use_delta_locality,
-                      opt.remap.use_knapsack_cache,
-                      opt.remap.objective,
-                      opt.remap.weight.algo,
-                      opt.remap.weight.max_dp_units,
-                      opt.remap.fusion.enforce_capacity,
-                      opt.run_remapping,
-                      opt.run_weight_locality,
-                      opt.run_fusion};
+    const SoloKey key{model_fingerprint(m),       m.batch(),
+                      sys_->host().bw_acc,        sys_->links().fingerprint(),
+                      sys_->derate_fingerprint(), opt};
     std::shared_ptr<SoloPlan> plan = reuse ? solo_.find(key) : nullptr;
     if (plan == nullptr) {
       PlanRequest req = PlanRequest::for_graph(m, sys_->host().bw_acc);
@@ -231,47 +190,22 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
   std::vector<double> cur_lat = seq_lat;
   Score cur_score = seq_score;
 
-  // What tenant `active`'s replan reads of the current co-mapping.
-  const auto peer_inputs = [&](std::size_t active) {
-    PeerInputs in{std::vector<AccId>(model.layer_count(), AccId::host()),
-                  std::vector<bool>(model.layer_count(), false)};
-    for (std::uint32_t l = 0; l < model.layer_count(); ++l) {
-      if (spans[active].contains(LayerId{l})) continue;
-      in.acc[l] = cur.acc_of(LayerId{l});
-      in.pin[l] = cur_plan.pinned(LayerId{l});
-    }
-    return in;
-  };
+  // Each tenant's span is what its replans leave free.
+  std::vector<std::vector<bool>> own(n,
+                                     std::vector<bool>(model.layer_count()));
+  for (std::size_t i = 0; i < n; ++i)
+    for (std::uint32_t l = spans[i].begin; l < spans[i].end; ++l)
+      own[i][l] = true;
 
-  // Replan the whole union for one tenant, peers expressed as constraints.
-  // Reads nothing of the co-mapping beyond `in`, which is what makes the
-  // reuse rule below exact.
-  const auto run_round = [&](std::size_t active,
-                             const PeerInputs& in) -> PlanResponse {
-    if (n == 1) {
-      // No peers: every hook stays off, so this is the plain default
-      // pipeline — bit-identical to Planner::plan on the same model/system
-      // (pinned by test_tenant.cpp).
-      return run_passes(sim, make_default_pipeline(opt), opt.time_budget_s);
-    }
-    PlanOptions po = opt;
-    const TenantSpan span = spans[active];
-    // Step 1: peer layers are forced to their current accelerators through
-    // the placement-preference hook (their candidate lists collapse to one
-    // entry, so enumeration effort stays on the active tenant).
-    po.step1.preferred = [&acc = in.acc](LayerId id) -> std::optional<AccId> {
-      const AccId a = acc[id.value];
-      return a.is_host() ? std::nullopt : std::optional<AccId>(a);
-    };
-    // Steps 2/4: peers' pinned weights stay pinned and peer layers never
-    // move (the step-4 probe re-runs step 2 internally, so the pin mask is
-    // threaded there too).
-    std::vector<bool> locked(model.layer_count(), true);
-    for (std::uint32_t l = span.begin; l < span.end; ++l) locked[l] = false;
-    po.weight.force_pin = &in.pin;
-    po.remap.weight.force_pin = &in.pin;
-    po.remap.locked = &locked;
-    return run_passes(sim, make_default_pipeline(po), po.time_budget_s);
+  // Replan the whole union for one tenant with its peers frozen in place:
+  // peer layers keep their accelerators (their step-1 candidate lists
+  // collapse to one entry), pins and positions. Reads nothing of the
+  // co-mapping beyond `in`, which is what makes the reuse rule below exact.
+  // With one tenant nothing is frozen, and the result is bit-identical to
+  // Planner::plan (pinned by test_tenant.cpp).
+  const auto run_round = [&](const Frozen& in) {
+    return run_passes(sim, make_default_pipeline(frozen_options(opt, in)),
+                      opt.time_budget_s);
   };
 
   const auto adopt = [&](PlanResponse&& r) {
@@ -284,11 +218,11 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
 
   // Round 1 adopts unconditionally (every tenant gets one full replan with
   // its peers fixed); later sweeps only on strict score improvement, so the
-  // loop terminates. A turn whose peer inputs match the tenant's last
+  // loop terminates. A turn whose frozen peers match the tenant's last
   // replan would recompute that replan bit for bit, so when its score would
   // not improve the current one the turn is skipped (DESIGN.md §11).
   struct LastReplan {
-    PeerInputs in;
+    Frozen in;
     Score score;
   };
   std::vector<std::optional<LastReplan>> last(n);
@@ -299,13 +233,13 @@ CoMapResult CoMapper::co_map(const TenantSet& set,
     bool adopted = false;
     for (const std::size_t i : slack_order(set, cur_lat, normalize)) {
       ++replans;
-      PeerInputs in = peer_inputs(i);
+      Frozen in = freeze_outside(cur, cur_plan, own[i]);
       if (reuse && last[i] && last[i]->in == in &&
           !improves(last[i]->score, cur_score)) {
         ++reused;
         continue;
       }
-      PlanResponse r = run_round(i, in);
+      PlanResponse r = run_round(in);
       const ScheduleResult& sched = r.final_result();
       const Score sc =
           score_of(set, tenant_latencies(sched, spans), sched.latency);

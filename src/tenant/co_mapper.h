@@ -10,23 +10,22 @@
 //   1. Solo plans: each tenant planned alone on the idle system (a warm
 //      shared-system Planner), giving the slack baseline and the
 //      sequential-deployment comparison point. Memoized per CoMapper: a
-//      repeated (model, batch, options) on the same system reuses its solo
-//      mapping and latency without planning again.
+//      repeated (model, batch, PlanOptions) on the same system reuses its
+//      solo mapping and latency without planning again.
 //   2. Round 1: tenants in deadline-slack order (most urgent first; the
 //      mapf-het normalized-slack rule, priority breaking ties) each replan
-//      the whole union with their peers expressed as constraints — step 1
-//      forces peer layers to their current accelerators (the placement-
-//      preference hook), step 2 force-pins peers' pinned weights, step 4
-//      locks peer layers (RemapOptions::locked). Adoption is unconditional:
-//      with one tenant every hook is off and the result is bit-identical to
-//      Planner::plan (pinned by test_tenant.cpp).
+//      the whole union with every peer layer frozen where it is
+//      (freeze_outside + frozen_options, core/planner.h): step 1 keeps its
+//      accelerator, steps 2 and 4 keep its pins, step 4 never moves it.
+//      Adoption is unconditional: with one tenant nothing is frozen and the
+//      result is bit-identical to Planner::plan (pinned by test_tenant.cpp).
 //   3. Rounds 2+: the same sweep, adopting a tenant's replan only when the
 //      global score — lexicographic (priority-weighted SLO violation
 //      seconds, makespan) — strictly improves; stops early when a full
-//      round adopts nothing. A replan reads only its peers' accelerators
-//      and pins, so a tenant whose peer inputs are unchanged since its last
-//      replan, and whose last score would not improve the current one,
-//      skips the replan: a recompute would reach the same decision.
+//      round adopts nothing. A replan reads only its Frozen peers, so a
+//      tenant whose Frozen value is unchanged since its last replan, and
+//      whose last score would not improve the current one, skips the
+//      replan: a recompute would reach the same decision.
 //   4. Steal round: tenants still missing their SLO replan once more with
 //      the peers that comfortably meet theirs unlocked, letting an urgent
 //      tenant displace ("steal from") a generous one; adopted only on

@@ -106,11 +106,11 @@ TEST(CompPrioritized, PreferredHookPinsPlacement) {
   const SystemConfig sys = make_mini_hetero_system();
   const Simulator sim(m, sys);
   CompPrioritizedOptions opts;
-  // Force the convs onto the slow generic engine.
-  opts.preferred = [&m](LayerId id) -> std::optional<AccId> {
-    if (m.layer(id).kind == LayerKind::Conv) return AccId{1};
-    return std::nullopt;
-  };
+  // Force the convs onto the slow generic engine; host prefers nothing.
+  std::vector<AccId> preferred(m.layer_count(), AccId::host());
+  for (const LayerId id : m.all_layers())
+    if (m.layer(id).kind == LayerKind::Conv) preferred[id.value] = AccId{1};
+  opts.preferred = &preferred;
   const Mapping mapping = computation_prioritized_mapping(sim, opts);
   EXPECT_EQ(mapping.acc_of(LayerId{1}), AccId{1});
   EXPECT_EQ(mapping.acc_of(LayerId{2}), AccId{1});
@@ -122,7 +122,8 @@ TEST(CompPrioritized, PreferredHookIgnoredWhenUnsupported) {
   const Simulator sim(m, sys);
   CompPrioritizedOptions opts;
   // Conv-only accelerator cannot take the FC; preference must be dropped.
-  opts.preferred = [](LayerId) -> std::optional<AccId> { return AccId{0}; };
+  const std::vector<AccId> preferred(m.layer_count(), AccId{0});
+  opts.preferred = &preferred;
   const Mapping mapping = computation_prioritized_mapping(sim, opts);
   EXPECT_NO_THROW(mapping.validate(m, sys));
   EXPECT_NE(mapping.acc_of(LayerId{3}), AccId{0});

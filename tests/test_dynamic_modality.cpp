@@ -80,7 +80,7 @@ TEST(DynamicModality, RepeatMappingReusesResidentWeights) {
   const ModelGraph full = make_model(ZooModel::MoCap);
   (void)mapper.remap(full);
   const DynamicRemapResult again = mapper.remap(full);
-  // Same model, warm residency: the preference hook pins placements, so
+  // Same model, warm residency: the step-1 preference pins placements, so
   // almost all pinned weights are already where they need to be.
   EXPECT_GT(again.reuse_ratio(), 0.9);
 }

@@ -215,23 +215,71 @@ TEST_P(PlannerBitIdentityTest, MatchesPlanOnceBitForBit) {
   expect_same_response(legacy, warm, model);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    ZooGrid, PlannerBitIdentityTest,
-    ::testing::Combine(::testing::Values(ZooModel::VLocNet,
-                                         ZooModel::CasiaSurf, ZooModel::Vfs,
-                                         ZooModel::FaceBag, ZooModel::CnnLstm,
-                                         ZooModel::MoCap),
-                       ::testing::Values(BandwidthSetting::LowMinus,
-                                         BandwidthSetting::Mid)),
-    [](const ::testing::TestParamInfo<
-        std::tuple<ZooModel, BandwidthSetting>>& info) {
-      std::string name(zoo_info(std::get<0>(info.param)).key);
-      for (char& c : name)
-        if (c == '-') c = '_';
-      return name + (std::get<1>(info.param) == BandwidthSetting::LowMinus
-                         ? "_LowMinus"
-                         : "_Mid");
-    });
+/// Every zoo model at Low- (0.125 GB/s) and Mid (0.5 GB/s).
+const auto kZooGrid = ::testing::Combine(
+    ::testing::Values(ZooModel::VLocNet, ZooModel::CasiaSurf, ZooModel::Vfs,
+                      ZooModel::FaceBag, ZooModel::CnnLstm, ZooModel::MoCap),
+    ::testing::Values(BandwidthSetting::LowMinus, BandwidthSetting::Mid));
+
+std::string zoo_grid_name(
+    const ::testing::TestParamInfo<std::tuple<ZooModel, BandwidthSetting>>&
+        info) {
+  std::string name(zoo_info(std::get<0>(info.param)).key);
+  for (char& c : name)
+    if (c == '-') c = '_';
+  return name + (std::get<1>(info.param) == BandwidthSetting::LowMinus
+                     ? "_LowMinus"
+                     : "_Mid");
+}
+
+INSTANTIATE_TEST_SUITE_P(ZooGrid, PlannerBitIdentityTest, kZooGrid,
+                         zoo_grid_name);
+
+// The frozen-replan contract (freeze_outside + frozen_options), which
+// co-mapping rounds and live repair both rely on: freezing every layer
+// reproduces the plan it was taken from, and freezing none is the plain
+// default pipeline.
+using FrozenReplanTest = PlannerBitIdentityTest;
+
+TEST_P(FrozenReplanTest, AllFrozenKeepsAccSeqAndPins) {
+  const auto [model_id, bw] = GetParam();
+  const ModelGraph model = make_model(model_id);
+  const SystemConfig sys = SystemConfig::standard(bw);
+  const Simulator sim(model, sys);
+  const PlanResponse plan = plan_once(model, sys);
+
+  const Frozen frozen = freeze_outside(
+      plan.mapping, plan.plan, std::vector<bool>(model.layer_count(), false));
+  const PlanResponse replan =
+      run_passes(sim, make_default_pipeline(frozen_options({}, frozen)));
+  for (const LayerId id : model.all_layers()) {
+    EXPECT_TRUE(frozen.locked[id.value]);
+    EXPECT_EQ(replan.mapping.acc_of(id), plan.mapping.acc_of(id));
+    EXPECT_EQ(replan.mapping.seq_of(id), plan.mapping.seq_of(id));
+    EXPECT_EQ(replan.plan.pinned(id), plan.plan.pinned(id));
+  }
+}
+
+TEST_P(FrozenReplanTest, NothingFrozenMatchesPlanOnce) {
+  const auto [model_id, bw] = GetParam();
+  const ModelGraph model = make_model(model_id);
+  const SystemConfig sys = SystemConfig::standard(bw);
+  const Simulator sim(model, sys);
+  const PlanResponse plan = plan_once(model, sys);
+
+  const Frozen frozen = freeze_outside(
+      plan.mapping, plan.plan, std::vector<bool>(model.layer_count(), true));
+  for (const LayerId id : model.all_layers()) {
+    EXPECT_TRUE(frozen.acc[id.value].is_host());
+    EXPECT_FALSE(frozen.pin[id.value]);
+    EXPECT_FALSE(frozen.locked[id.value]);
+  }
+  expect_same_response(
+      plan, run_passes(sim, make_default_pipeline(frozen_options({}, frozen))),
+      model);
+}
+
+INSTANTIATE_TEST_SUITE_P(ZooGrid, FrozenReplanTest, kZooGrid, zoo_grid_name);
 
 TEST(PlanOnce, PipelineProducesFourMonotoneSteps) {
   const ModelGraph m = testing::make_mini_mmmt_model();

@@ -412,7 +412,7 @@ TEST(CoMapGridPin, TightDramRandomSetIsBitIdentical) {
     graphs.push_back(testing::make_random_model(rng));
   std::vector<TenantRequest> reqs(3);
   for (std::size_t i = 0; i < reqs.size(); ++i) {
-    reqs[i].name = "t" + std::to_string(i);
+    reqs[i].name = strformat("t%zu", i);
     reqs[i].graph = &graphs[i];
     reqs[i].slo_s = 1e-5 * static_cast<double>(1 + i);  // always missed
     reqs[i].priority = static_cast<std::uint32_t>(1 + i);

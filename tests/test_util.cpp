@@ -5,7 +5,6 @@
 #include "util/contracts.h"
 #include "util/csv.h"
 #include "util/error.h"
-#include "util/log.h"
 #include "util/rng.h"
 #include "util/str.h"
 #include "util/table.h"
@@ -124,14 +123,6 @@ TEST(Rng, RangesRespected) {
   }
   EXPECT_THROW((void)rng.uniform_int(2, 1), ContractViolation);
   EXPECT_THROW((void)rng.index(0), ContractViolation);
-}
-
-TEST(Log, ThresholdFilters) {
-  const LogLevel before = log_level();
-  set_log_level(LogLevel::Error);
-  EXPECT_EQ(log_level(), LogLevel::Error);
-  log_debug("should not crash and not print");
-  set_log_level(before);
 }
 
 }  // namespace
