@@ -1,5 +1,6 @@
 #include "core/planner.h"
 
+#include <algorithm>
 #include <bit>
 #include <chrono>
 #include <string_view>
@@ -140,6 +141,12 @@ Frozen freeze_outside(const Mapping& mapping, const LocalityPlan& plan,
 }
 
 PlanOptions frozen_options(PlanOptions options, const Frozen& frozen) {
+  // Nothing frozen: leave the hooks off. Any force_pin mask, even an empty
+  // one, takes step 4 off its knapsack-free delta path (remap_delta.cpp),
+  // which doubles a vlocnet plan.
+  if (std::find(frozen.locked.begin(), frozen.locked.end(), true) ==
+      frozen.locked.end())
+    return options;
   options.step1.preferred = &frozen.acc;
   // The step-4 probe re-runs step 2 internally, so it keeps the pins too.
   options.weight.force_pin = &frozen.pin;

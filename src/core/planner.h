@@ -184,7 +184,7 @@ struct Frozen {
 
 /// `options` with step 1's preference, both force_pin masks and step 4's
 /// locked mask pointed at `frozen`, which must outlive every plan run with
-/// the result.
+/// the result. When nothing is frozen the options come back unchanged.
 [[nodiscard]] PlanOptions frozen_options(PlanOptions options,
                                          const Frozen& frozen);
 
