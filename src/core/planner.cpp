@@ -6,7 +6,6 @@
 #include <string_view>
 #include <utility>
 
-
 namespace h2h {
 namespace {
 
